@@ -500,8 +500,11 @@ fn cmd_run(opts: &Options) -> ExitCode {
         eprintln!("wrote metrics {}", path.display());
     }
     if let Some(path) = &opts.trace {
-        write_file(path, &ntc_obs::chrome_trace(&ntc_obs::take_spans()));
-        eprintln!("wrote trace {}", path.display());
+        let spans = ntc_obs::take_spans();
+        write_file(path, &ntc_obs::chrome_trace(&spans));
+        // Spans the bounded ring overwrote are missing from the trace.
+        let dropped = ntc_obs::metrics_snapshot().counter("obs.spans_dropped").unwrap_or(0);
+        eprintln!("wrote trace {} ({} spans, {dropped} dropped)", path.display(), spans.len());
     }
     ntc_stats::ckpt::set_scope("");
     if let Some(hb) = heartbeat {

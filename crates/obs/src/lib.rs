@@ -67,7 +67,7 @@ pub use latency::{latency_bounds_ms, log_bounds, LATENCY_MAX_MS, LATENCY_MIN_MS,
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, MetricsSnapshot};
 pub use progress::ProgressSnapshot;
 pub use provenance::{version, Provenance};
-pub use span::{current_span, span, take_spans, Span, SpanId, SpanRecord};
+pub use span::{current_span, span, take_spans, Span, SpanId, SpanRecord, SPAN_RING};
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};

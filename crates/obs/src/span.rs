@@ -13,9 +13,17 @@
 //!
 //! When the layer is disabled (the default) [`span`] returns an inert
 //! guard: one relaxed atomic load, no allocation, no lock.
+//!
+//! Finished spans wait in a bounded ring of the newest [`SPAN_RING`]
+//! records until [`take_spans`] drains them. A long-lived process that
+//! never drains (a server with the layer on for its metrics) therefore
+//! holds a fixed amount of span memory; each record the ring overwrites
+//! is counted in `obs.spans_dropped`. A full paper-scale `repro run
+//! --all --trace` records under 2,000 spans, so traces stay complete.
 
 use std::borrow::Cow;
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -62,6 +70,10 @@ impl SpanRecord {
     }
 }
 
+/// Finished spans kept for [`take_spans`]; older records are
+/// overwritten (and counted in `obs.spans_dropped`) once it is full.
+pub const SPAN_RING: usize = 4096;
+
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 static NEXT_THREAD: AtomicU64 = AtomicU64::new(0);
 static EPOCH: OnceLock<Instant> = OnceLock::new();
@@ -70,9 +82,27 @@ fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-fn finished() -> &'static Mutex<Vec<SpanRecord>> {
-    static FINISHED: OnceLock<Mutex<Vec<SpanRecord>>> = OnceLock::new();
-    FINISHED.get_or_init(|| Mutex::new(Vec::new()))
+fn finished() -> &'static Mutex<VecDeque<SpanRecord>> {
+    static FINISHED: OnceLock<Mutex<VecDeque<SpanRecord>>> = OnceLock::new();
+    FINISHED.get_or_init(|| Mutex::new(VecDeque::new()))
+}
+
+/// Appends a finished span, overwriting the oldest when the ring is full.
+fn record(span: SpanRecord) {
+    let overwrote = match finished().lock() {
+        Ok(mut f) => {
+            let full = f.len() >= SPAN_RING;
+            if full {
+                f.pop_front();
+            }
+            f.push_back(span);
+            full
+        }
+        Err(_) => false,
+    };
+    if overwrote {
+        crate::counter_add("obs.spans_dropped", 1);
+    }
 }
 
 thread_local! {
@@ -205,7 +235,7 @@ impl Drop for Span {
                 s.remove(pos);
             }
         });
-        let record = SpanRecord {
+        record(SpanRecord {
             id: a.id,
             parent: a.parent,
             name: a.name,
@@ -215,19 +245,17 @@ impl Drop for Span {
             shard: a.shard,
             req: a.req,
             items: a.items,
-        };
-        if let Ok(mut f) = finished().lock() {
-            f.push(record);
-        }
+        });
     }
 }
 
-/// Drains every finished span recorded so far, sorted by
-/// `(start_ns, id)` so equal inputs render identically.
+/// Drains the finished spans still in the ring (the newest
+/// [`SPAN_RING`]), sorted by `(start_ns, id)` so equal inputs render
+/// identically.
 #[must_use]
 pub fn take_spans() -> Vec<SpanRecord> {
-    let mut spans = match finished().lock() {
-        Ok(mut f) => std::mem::take(&mut *f),
+    let mut spans: Vec<SpanRecord> = match finished().lock() {
+        Ok(mut f) => std::mem::take(&mut *f).into(),
         Err(_) => Vec::new(),
     };
     spans.sort_by_key(|s| (s.start_ns, s.id));
@@ -238,8 +266,12 @@ pub fn take_spans() -> Vec<SpanRecord> {
 mod tests {
     use super::*;
 
+    /// Serializes the tests that drain the process-global ring.
+    static RING: Mutex<()> = Mutex::new(());
+
     #[test]
     fn disabled_span_is_inert() {
+        let _ring = RING.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         // The layer is off unless a test enables it; an inert guard has
         // no id and records nothing under its name.
         let s = span("span_test.disabled");
@@ -249,6 +281,7 @@ mod tests {
 
     #[test]
     fn nesting_records_parent() {
+        let _ring = RING.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         crate::enable();
         let outer = span("span_test.outer");
         let outer_id = outer.id().unwrap();
@@ -266,6 +299,28 @@ mod tests {
         assert!(outer.parent.is_none() || outer.parent != Some(inner.id));
         // Child cannot start before its parent on the shared epoch.
         assert!(inner.start_ns >= outer.start_ns);
+    }
+
+    #[test]
+    fn ring_keeps_the_newest_spans_and_counts_overwrites() {
+        let _ring = RING.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        crate::enable();
+        let _ = take_spans();
+        let dropped = || crate::metrics_snapshot().counter("obs.spans_dropped").unwrap_or(0);
+        let before = dropped();
+        let k = 37u64;
+        for i in 0..SPAN_RING as u64 + k {
+            let mut s = span("span_test.ring");
+            s.add_items(i + 1);
+        }
+        let spans = take_spans();
+        assert_eq!(spans.len(), SPAN_RING);
+        assert_eq!(dropped() - before, k);
+        // The newest SPAN_RING survive, in the usual (start_ns, id) order.
+        let items: Vec<u64> = spans.iter().map(|s| s.items).collect();
+        assert_eq!(items, (k + 1..=SPAN_RING as u64 + k).collect::<Vec<_>>());
+        assert!(spans.windows(2).all(|w| (w[0].start_ns, w[0].id) < (w[1].start_ns, w[1].id)));
+        assert!(take_spans().is_empty(), "draining empties the ring");
     }
 
     #[test]

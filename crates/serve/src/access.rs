@@ -36,7 +36,7 @@ fn since_epoch_ns() -> u64 {
 pub struct AccessRecord {
     /// Request id (also in spans and the `X-Request-Id` header).
     pub req: u64,
-    /// Worker shard that answered (`None` for acceptor-side rejects).
+    /// Worker shard that answered (`None` for the rejector's 503s).
     pub shard: Option<u32>,
     /// Request method as framed (empty when framing failed).
     pub method: String,

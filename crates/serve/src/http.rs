@@ -10,11 +10,17 @@
 //! Hard input bounds (header block and body size) are enforced before
 //! any allocation proportional to the claimed length, so a malicious
 //! `Content-Length` cannot reserve memory the peer never sends.
+//!
+//! Reads go through one [`BufReader`] per request, so a request that
+//! arrives in one segment costs one `read` syscall, not one per byte;
+//! body bytes that arrived with the head are served from the same
+//! buffer. A response goes out as one buffer in one `write_all`.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
-/// Largest accepted header block, in bytes.
+/// Largest accepted header block, in bytes, counting the blank line
+/// that ends it.
 pub const MAX_HEAD: usize = 16 * 1024;
 
 /// Largest accepted request body, in bytes.
@@ -67,22 +73,8 @@ impl std::fmt::Display for FrameError {
 /// Reads one request from the stream (which should already carry a
 /// read timeout; a slow or silent peer surfaces as [`FrameError::Io`]).
 pub fn read_request(stream: &mut TcpStream) -> Result<Request, FrameError> {
-    // Read until the blank line that ends the header block.
-    let mut head = Vec::new();
-    let mut byte = [0u8; 1];
-    loop {
-        match stream.read(&mut byte) {
-            Ok(0) => return Err(FrameError::Malformed("connection closed before headers ended")),
-            Ok(_) => head.push(byte[0]),
-            Err(e) => return Err(FrameError::Io(e.to_string())),
-        }
-        if head.ends_with(b"\r\n\r\n") {
-            break;
-        }
-        if head.len() > MAX_HEAD {
-            return Err(FrameError::TooLarge("header block"));
-        }
-    }
+    let mut reader = BufReader::new(&*stream);
+    let head = read_head(&mut reader)?;
     let head = String::from_utf8(head).map_err(|_| FrameError::Malformed("non-UTF-8 headers"))?;
     let mut lines = head.split("\r\n");
     let request_line = lines.next().unwrap_or("");
@@ -112,9 +104,38 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, FrameError> {
         return Err(FrameError::TooLarge("body"));
     }
     let mut body = vec![0u8; content_length];
-    stream.read_exact(&mut body).map_err(|e| FrameError::Io(e.to_string()))?;
+    reader.read_exact(&mut body).map_err(|e| FrameError::Io(e.to_string()))?;
     let body = String::from_utf8(body).map_err(|_| FrameError::Malformed("non-UTF-8 body"))?;
     Ok(Request { method, path, query, body })
+}
+
+/// Reads through the blank line that ends the header block, leaving
+/// every byte after it (the start of the body) in `reader`.
+fn read_head(reader: &mut impl BufRead) -> Result<Vec<u8>, FrameError> {
+    const END: &[u8] = b"\r\n\r\n";
+    let mut head = Vec::new();
+    loop {
+        let chunk = match reader.fill_buf() {
+            Ok([]) => return Err(FrameError::Malformed("connection closed before headers ended")),
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(FrameError::Io(e.to_string())),
+        };
+        // The terminator may straddle the previous chunk.
+        let from = head.len().saturating_sub(END.len() - 1);
+        let take = chunk.len().min(MAX_HEAD - head.len());
+        head.extend_from_slice(&chunk[..take]);
+        if let Some(at) = head[from..].windows(END.len()).position(|w| w == END) {
+            let end = from + at + END.len();
+            reader.consume(take - (head.len() - end));
+            head.truncate(end);
+            return Ok(head);
+        }
+        reader.consume(take);
+        if head.len() == MAX_HEAD {
+            return Err(FrameError::TooLarge("header block"));
+        }
+    }
 }
 
 /// The reason phrase for the status codes this service emits.
@@ -144,7 +165,7 @@ pub fn write_response(stream: &mut TcpStream, status: u16, body: &str) -> std::i
 /// own latency sample to the server-side record. `deprecated` adds a
 /// `Deprecation: true` header — the signal the unversioned legacy
 /// path shims carry so clients can notice they are still on the
-/// pre-`/v1` surface.
+/// pre-`/v1` surface. Head and body go out in one `write_all`.
 pub fn write_response_full(
     stream: &mut TcpStream,
     status: u16,
@@ -153,7 +174,10 @@ pub fn write_response_full(
     deprecated: bool,
     body: &str,
 ) -> std::io::Result<()> {
-    let mut head = format!(
+    use std::fmt::Write as _;
+    let mut out = String::with_capacity(160 + body.len());
+    let _ = write!(
+        out,
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
         status,
         reason(status),
@@ -161,15 +185,14 @@ pub fn write_response_full(
         body.len(),
     );
     if let Some(id) = req_id {
-        head.push_str(&format!("X-Request-Id: {id}\r\n"));
+        let _ = write!(out, "X-Request-Id: {id}\r\n");
     }
     if deprecated {
-        head.push_str("Deprecation: true\r\n");
+        out.push_str("Deprecation: true\r\n");
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+    out.push_str("\r\n");
+    out.push_str(body);
+    stream.write_all(out.as_bytes())
 }
 
 #[cfg(test)]
@@ -225,6 +248,95 @@ mod tests {
             MAX_BODY + 1
         );
         assert!(matches!(round_trip(raw.as_bytes()), Err(FrameError::TooLarge("body"))));
+    }
+
+    #[test]
+    fn rejects_absurd_content_length_without_allocating() {
+        // A claim near usize::MAX would abort the process if it were
+        // allocated before the bound check.
+        let raw = format!("POST /query HTTP/1.1\r\nContent-Length: {}\r\n\r\nxy", usize::MAX);
+        assert!(matches!(round_trip(raw.as_bytes()), Err(FrameError::TooLarge("body"))));
+    }
+
+    #[test]
+    fn body_in_the_same_segment_as_the_head_is_kept() {
+        // Small and larger-than-one-buffer bodies, each sent in one write
+        // with the head: the bytes buffered past the blank line are the
+        // start of the body, not lost.
+        for len in [1, 900, 20_000] {
+            let body: String = (0..len).map(|i| char::from(b'a' + (i % 26) as u8)).collect();
+            let raw = format!("POST /v1/query HTTP/1.1\r\nContent-Length: {len}\r\n\r\n{body}");
+            let req = round_trip(raw.as_bytes()).unwrap();
+            assert_eq!(req.body, body, "body of {len} bytes");
+        }
+    }
+
+    #[test]
+    fn head_trickled_one_byte_per_write_is_framed() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let raw = b"POST /v1/run HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\n{}";
+        let writer = std::thread::spawn(move || {
+            let mut client = TcpStream::connect(addr).unwrap();
+            client.set_nodelay(true).unwrap();
+            for byte in raw {
+                client.write_all(std::slice::from_ref(byte)).unwrap();
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            client
+        });
+        let (mut server_side, _) = listener.accept().unwrap();
+        server_side.set_read_timeout(Some(std::time::Duration::from_secs(5))).unwrap();
+        let req = read_request(&mut server_side).unwrap();
+        drop(writer.join().unwrap());
+        assert_eq!((req.method.as_str(), req.path.as_str()), ("POST", "/v1/run"));
+        assert_eq!(req.body, "{}");
+    }
+
+    #[test]
+    fn terminator_straddling_buffer_refills_is_found() {
+        let raw = b"GET /v1/api HTTP/1.1\r\nHost: x\r\n\r\nrest";
+        for capacity in 1..=raw.len() {
+            let mut reader = BufReader::with_capacity(capacity, &raw[..]);
+            let head = read_head(&mut reader).unwrap();
+            assert_eq!(head, &raw[..raw.len() - 4], "capacity {capacity}");
+            let mut rest = String::new();
+            reader.read_to_string(&mut rest).unwrap();
+            assert_eq!(rest, "rest", "capacity {capacity}");
+        }
+    }
+
+    #[test]
+    fn header_block_bound_is_exact() {
+        // Request line + one padding header + blank line, `len` bytes in all.
+        let head_of = |len: usize| {
+            let fixed = "GET / HTTP/1.1\r\nX-Pad: \r\n\r\n".len();
+            format!("GET / HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "p".repeat(len - fixed))
+        };
+        assert_eq!(head_of(MAX_HEAD).len(), MAX_HEAD);
+        let req = round_trip(head_of(MAX_HEAD).as_bytes()).unwrap();
+        assert_eq!(req.path, "/");
+        assert!(matches!(
+            round_trip(head_of(MAX_HEAD + 1).as_bytes()),
+            Err(FrameError::TooLarge("header block"))
+        ));
+    }
+
+    #[test]
+    fn response_is_one_well_formed_buffer() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut server_side, _) = listener.accept().unwrap();
+        write_response_full(&mut server_side, 200, "application/json", Some(9), true, "{}")
+            .unwrap();
+        drop(server_side);
+        let mut text = String::new();
+        client.read_to_string(&mut text).unwrap();
+        assert_eq!(
+            text,
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 2\r\n\
+             Connection: close\r\nX-Request-Id: 9\r\nDeprecation: true\r\n\r\n{}"
+        );
     }
 
     #[test]

@@ -25,16 +25,21 @@
 //!
 //! # Architecture
 //!
-//! One acceptor thread plus a fixed pool of worker shards (following
-//! the `ntc_stats::exec` layout conventions: shard count resolved once
-//! at startup, each shard numbered in spans). Between them sits a
-//! **bounded** queue: when it fills, the acceptor answers `503`
-//! immediately — backpressure is part of the API contract. Each
-//! request gets a deadline measured from the moment it was accepted;
-//! work that waited too long in the queue is answered `503` without
-//! being evaluated. Shutdown (SIGINT/SIGTERM or
-//! [`RunningServer::shutdown`]) stops the acceptor, lets queued work
-//! drain, and joins every shard.
+//! One acceptor thread blocked in `accept()`, a fixed pool of worker
+//! shards (following the `ntc_stats::exec` layout conventions: shard
+//! count resolved once at startup, each shard numbered in spans), and
+//! one rejector thread. Between acceptor and shards sits a **bounded**
+//! queue: when it fills, the acceptor hands the connection to the
+//! rejector, which answers `503` at once — backpressure is part of the
+//! API contract. The rejector's own hand-off is bounded too; past it,
+//! connections are closed unanswered and counted in
+//! `serve.rejected_dropped`, so overload never grows the thread count.
+//! Each request gets a deadline measured from the moment it was
+//! accepted; work that waited too long in the queue is answered `503`
+//! without being evaluated. Shutdown (SIGINT/SIGTERM seen by
+//! [`RunningServer::join`], or [`RunningServer::shutdown`]) sets a stop
+//! flag and wakes the acceptor with one loopback connection, lets
+//! queued work drain, and joins every thread.
 //!
 //! # Observability
 //!
@@ -46,7 +51,8 @@
 //! response written), and `serve.latency_ms` (the client-visible
 //! total), plus a per-route `serve.route.<label>.latency_ms` and
 //! per-route/per-status counters. Overload is explicit:
-//! `serve.rejected_503` counts queue-full bounces and
+//! `serve.rejected_503` counts queue-full bounces,
+//! `serve.rejected_dropped` the bounces closed unanswered, and
 //! `serve.queue_depth` gauges the backlog. `GET /metrics` renders the
 //! snapshot as deterministic JSON or (`?format=prom`) Prometheus text
 //! exposition.
@@ -70,9 +76,11 @@ pub mod pool;
 pub mod query;
 pub mod signal;
 
+use std::borrow::Cow;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -124,6 +132,12 @@ impl Default for ServeConfig {
     }
 }
 
+/// Queue-full connections waiting for the rejector's `503`; past this
+/// many, further bounces are closed unanswered. Deep enough that a few
+/// hundred concurrent clients (the load generator's default cap is 256)
+/// all get their 503, shallow enough to pin a fixed number of sockets.
+const REJECT_BACKLOG: usize = 256;
+
 /// One accepted connection waiting for a worker shard.
 struct Job {
     stream: TcpStream,
@@ -143,7 +157,6 @@ impl Server {
     pub fn bind(config: ServeConfig) -> io::Result<RunningServer> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let workers = if config.workers == 0 { ntc_stats::exec::threads() } else { config.workers };
         let store = match &config.store {
@@ -161,32 +174,41 @@ impl Server {
             None => None,
         };
 
-        let mut handles = Vec::with_capacity(workers);
+        // The acceptor goes first in `threads`: it closes the queue and
+        // (by dropping `bounce`) the rejector's channel on exit, which is
+        // what lets the others drain and return.
+        let (bounce, bounced) = sync_channel(REJECT_BACKLOG);
+        let mut threads = Vec::with_capacity(workers + 2);
+        threads.push({
+            let queue = Arc::clone(&queue);
+            let stop = Arc::clone(&stop);
+            let deadline = config.deadline;
+            std::thread::Builder::new()
+                .name("serve-acceptor".to_string())
+                .spawn(move || accept_loop(&listener, &queue, &bounce, &stop, deadline))
+                .expect("spawn acceptor")
+        });
         for shard in 0..workers {
             let queue = Arc::clone(&queue);
             let state = Arc::clone(&state);
             let log = log.clone();
             let deadline = config.deadline;
-            handles.push(
+            threads.push(
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{shard}"))
                     .spawn(move || worker_loop(shard, &queue, &state, deadline, log.as_deref()))
                     .expect("spawn worker shard"),
             );
         }
-
-        let acceptor = {
-            let queue = Arc::clone(&queue);
-            let stop = Arc::clone(&stop);
+        threads.push({
             let log = log.clone();
-            let deadline = config.deadline;
             std::thread::Builder::new()
-                .name("serve-acceptor".to_string())
-                .spawn(move || accept_loop(&listener, &queue, &stop, deadline, log))
-                .expect("spawn acceptor")
-        };
+                .name("serve-rejector".to_string())
+                .spawn(move || reject_loop(&bounced, log.as_deref()))
+                .expect("spawn rejector")
+        });
 
-        Ok(RunningServer { addr, stop, acceptor: Some(acceptor), workers: handles, log })
+        Ok(RunningServer { addr, stop, threads, log })
     }
 }
 
@@ -195,8 +217,8 @@ impl Server {
 pub struct RunningServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    /// Acceptor first, then worker shards and the rejector.
+    threads: Vec<JoinHandle<()>>,
     log: Option<Arc<AccessLog>>,
 }
 
@@ -207,127 +229,132 @@ impl RunningServer {
     }
 
     /// Graceful shutdown: stop accepting, drain queued requests, join
-    /// every shard. Idempotent with signal-initiated shutdown — the
-    /// acceptor also exits (and closes the queue) when a
-    /// SIGINT/SIGTERM flag set via [`signal::install`] is seen.
+    /// every thread, flush the access log. The acceptor sleeps in a
+    /// blocking `accept()`, so after setting the stop flag this opens
+    /// one loopback connection to wake it; the acceptor sees the flag
+    /// and drops that connection uncounted.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
+        let _ = TcpStream::connect(wake_addr(self.addr));
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
         }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        // Workers are gone; flush every buffered access-log line.
+        // Every thread is gone; flush every buffered access-log line.
         if let Some(log) = self.log.take() {
             log.close();
         }
     }
 
-    /// Blocks until the server shuts down on its own — i.e. until a
-    /// signal flips the [`signal`] flag and the acceptor drains out.
-    pub fn join(mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
+    /// Serves until a SIGINT/SIGTERM flips the [`signal`] flag, then
+    /// shuts down as [`shutdown`](Self::shutdown) does. The flag is
+    /// polled on the caller's otherwise idle thread, never on the
+    /// request path.
+    pub fn join(self) {
+        while !signal::requested() {
+            std::thread::sleep(Duration::from_millis(50));
         }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        if let Some(log) = self.log.take() {
-            log.close();
-        }
+        self.shutdown();
     }
 }
 
+/// Where to connect to reach a listener bound at `addr`: an unspecified
+/// bind IP (`0.0.0.0`, `::`) is reached through loopback.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
+}
+
 /// Accepts until told to stop, pushing connections at the bounded
-/// queue and answering `503` in-line on overflow. The listener is
-/// non-blocking so the loop can observe the stop flag and the signal
-/// flag without a wake-up connection.
+/// queue and handing overflow to the rejector. `accept()` blocks; the
+/// stop flag is checked each time it returns, so the connection
+/// [`RunningServer::shutdown`] makes to wake it is never served.
 fn accept_loop(
     listener: &TcpListener,
     queue: &BoundedQueue<Job>,
+    bounce: &SyncSender<Job>,
     stop: &AtomicBool,
     deadline: Duration,
-    log: Option<Arc<AccessLog>>,
 ) {
     // Request ids are process-unique and monotonically assigned at
     // accept, so the access log, spans, and `X-Request-Id` headers all
     // agree on one vocabulary.
     static NEXT_REQ: AtomicU64 = AtomicU64::new(1);
     loop {
-        if stop.load(Ordering::SeqCst) || signal::requested() {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
             break;
         }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                ntc_obs::counter_add("serve.requests", 1);
-                // The listener is non-blocking; the accepted stream
-                // must not be, or reads race the client's bytes.
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_read_timeout(Some(deadline));
-                let req_id = NEXT_REQ.fetch_add(1, Ordering::Relaxed);
-                let job = Job { stream, accepted: Instant::now(), req_id };
-                match queue.try_push(job) {
-                    Push::Accepted(depth) => {
-                        #[allow(clippy::cast_precision_loss)]
-                        ntc_obs::gauge_set("serve.queue_depth", depth as f64);
-                    }
-                    Push::Rejected(job) => {
-                        ntc_obs::counter_add("serve.rejected_503", 1);
-                        // Answer off-thread, and *read the request
-                        // first*: closing a socket with unread input
-                        // sends RST, which would destroy the 503 in
-                        // the peer's receive buffer.
-                        let log = log.clone();
-                        std::thread::spawn(move || {
-                            let started = Instant::now();
-                            let mut stream = job.stream;
-                            let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-                            let framed = http::read_request(&mut stream);
-                            let body =
-                                error_body("overloaded", "request queue is full, retry later");
-                            let _ = http::write_response_full(
-                                &mut stream,
-                                503,
-                                "application/json",
-                                Some(job.req_id),
-                                false,
-                                &body,
-                            );
-                            if let Some(log) = &log {
-                                let (method, path) = match &framed {
-                                    Ok(req) => (req.method.clone(), req.path.clone()),
-                                    Err(_) => (String::new(), String::new()),
-                                };
-                                let ms = started.elapsed().as_secs_f64() * 1e3;
-                                log.log(&AccessRecord {
-                                    req: job.req_id,
-                                    shard: None,
-                                    method,
-                                    path,
-                                    status: 503,
-                                    queue_wait_ms: 0.0,
-                                    handler_ms: ms,
-                                    latency_ms: ms,
-                                    bytes: body.len(),
-                                });
-                            }
-                        });
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+        let stream = match accepted {
+            Ok((stream, _peer)) => stream,
             Err(_) => {
-                // Transient accept errors (e.g. aborted handshakes):
-                // keep serving.
+                // Transient accept errors (aborted handshakes, EMFILE):
+                // back off briefly and keep serving.
                 std::thread::sleep(Duration::from_millis(10));
+                continue;
             }
+        };
+        ntc_obs::counter_add("serve.requests", 1);
+        let _ = stream.set_read_timeout(Some(deadline));
+        let req_id = NEXT_REQ.fetch_add(1, Ordering::Relaxed);
+        let job = Job { stream, accepted: Instant::now(), req_id };
+        match queue.try_push(job) {
+            Push::Accepted(depth) => {
+                #[allow(clippy::cast_precision_loss)]
+                ntc_obs::gauge_set("serve.queue_depth", depth as f64);
+            }
+            Push::Rejected(job) => match bounce.try_send(job) {
+                Ok(()) => ntc_obs::counter_add("serve.rejected_503", 1),
+                // Dropping the stream closes the connection unanswered.
+                Err(_) => ntc_obs::counter_add("serve.rejected_dropped", 1),
+            },
         }
     }
     // Reject new work, wake idle shards; queued jobs still drain.
     queue.close();
+}
+
+/// The rejector: answers every bounced connection `503` until the
+/// acceptor hangs up. It *reads the request first*: closing a socket
+/// with unread input sends RST, which would destroy the 503 in the
+/// peer's receive buffer.
+fn reject_loop(bounced: &Receiver<Job>, log: Option<&AccessLog>) {
+    let body = error_body("overloaded", "request queue is full, retry later");
+    for job in bounced {
+        let started = Instant::now();
+        let mut stream = job.stream;
+        let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
+        let framed = http::read_request(&mut stream);
+        let _ = http::write_response_full(
+            &mut stream,
+            503,
+            "application/json",
+            Some(job.req_id),
+            false,
+            &body,
+        );
+        if let Some(log) = log {
+            let (method, path) = match framed {
+                Ok(req) => (req.method, req.path),
+                Err(_) => (String::new(), String::new()),
+            };
+            let ms = started.elapsed().as_secs_f64() * 1e3;
+            log.log(&AccessRecord {
+                req: job.req_id,
+                shard: None,
+                method,
+                path,
+                status: 503,
+                queue_wait_ms: 0.0,
+                handler_ms: ms,
+                latency_ms: ms,
+                bytes: body.len(),
+            });
+        }
+    }
 }
 
 /// How one connection was answered, as the worker loop needs it for
@@ -356,8 +383,7 @@ fn worker_loop(
     while let Some(job) = queue.pop() {
         #[allow(clippy::cast_precision_loss)]
         ntc_obs::gauge_set("serve.queue_depth", queue.depth() as f64);
-        let accepted = job.accepted;
-        let req_id = job.req_id;
+        let Job { mut stream, accepted, req_id } = job;
         let queue_wait_ms = accepted.elapsed().as_secs_f64() * 1e3;
         let handler_started = Instant::now();
         let outcome = {
@@ -365,7 +391,7 @@ fn worker_loop(
             let _span = ntc_obs::span("serve.request")
                 .with_shard(shard as u32)
                 .with_request(req_id);
-            serve_connection(job, state, deadline)
+            serve_connection(&mut stream, accepted, req_id, state, deadline)
         };
         let handler_ms = handler_started.elapsed().as_secs_f64() * 1e3;
         let latency_ms = accepted.elapsed().as_secs_f64() * 1e3;
@@ -374,15 +400,9 @@ fn worker_loop(
             ntc_obs::histogram_record("serve.queue_wait_ms", bounds, queue_wait_ms);
             ntc_obs::histogram_record("serve.handler_ms", bounds, handler_ms);
             ntc_obs::histogram_record("serve.latency_ms", bounds, latency_ms);
-            ntc_obs::counter_add(
-                &format!("serve.route.{}.status.{}", outcome.route, outcome.status),
-                1,
-            );
-            ntc_obs::histogram_record(
-                &format!("serve.route.{}.latency_ms", outcome.route),
-                bounds,
-                latency_ms,
-            );
+            let (status_name, latency_name) = route_metric_names(outcome.route, outcome.status);
+            ntc_obs::counter_add(&status_name, 1);
+            ntc_obs::histogram_record(latency_name, bounds, latency_ms);
         }
         if let Some(log) = log {
             #[allow(clippy::cast_possible_truncation)]
@@ -398,12 +418,63 @@ fn worker_loop(
                 bytes: outcome.bytes,
             });
         }
+        // Close only now: a client that read its response to EOF finds
+        // the request in the metrics and the access log.
+        drop(stream);
     }
 }
 
+/// Declares the route-label vocabulary ([`handlers::route_label`] plus
+/// `unframed`) and the status codes this service emits, and derives
+/// [`route_metric_names`] from them, so the per-request metric names are
+/// `&'static str` spelled once at compile time.
+macro_rules! route_metrics {
+    (routes: [$($route:literal)*], statuses: $statuses:tt) => {
+        /// Route labels that name per-route metrics.
+        #[cfg(test)]
+        const ROUTES: &[&str] = &[$($route),*];
+
+        /// `serve.route.<route>.status.<status>` and
+        /// `serve.route.<route>.latency_ms`. A status outside the emitted
+        /// set (none today) is named at run time; a label outside the
+        /// vocabulary (none today) counts under `other`.
+        fn route_metric_names(route: &str, status: u16) -> (Cow<'static, str>, &'static str) {
+            match route {
+                $($route => (
+                    route_metrics!(@status $route, status, $statuses),
+                    concat!("serve.route.", $route, ".latency_ms"),
+                ),)*
+                _ => (
+                    Cow::Owned(format!("serve.route.other.status.{status}")),
+                    "serve.route.other.latency_ms",
+                ),
+            }
+        }
+    };
+    (@status $route:literal, $status:ident, [$($code:literal)*]) => {
+        match $status {
+            $($code => Cow::Borrowed(concat!("serve.route.", $route, ".status.", $code)),)*
+            other => Cow::Owned(format!(concat!("serve.route.", $route, ".status.{}"), other)),
+        }
+    };
+}
+
+route_metrics! {
+    routes: [
+        "healthz" "metrics" "progress" "experiments" "run" "query" "optimize" "api"
+        "artifact" "other" "unframed"
+    ],
+    statuses: [200 400 404 405 413 500 503]
+}
+
 /// Frames and answers one connection.
-fn serve_connection(job: Job, state: &ServerState, deadline: Duration) -> Outcome {
-    let Job { mut stream, accepted, req_id } = job;
+fn serve_connection(
+    stream: &mut TcpStream,
+    accepted: Instant,
+    req_id: u64,
+    state: &ServerState,
+    deadline: Duration,
+) -> Outcome {
     let unframed = |status: u16, bytes: usize| Outcome {
         route: "unframed",
         method: String::new(),
@@ -419,7 +490,7 @@ fn serve_connection(job: Job, state: &ServerState, deadline: Duration) -> Outcom
         ntc_obs::counter_add("serve.deadline_missed", 1);
         let body = error_body("deadline", "request spent its deadline queued");
         let _ = http::write_response_full(
-            &mut stream,
+            stream,
             503,
             "application/json",
             Some(req_id),
@@ -429,7 +500,7 @@ fn serve_connection(job: Job, state: &ServerState, deadline: Duration) -> Outcom
         return unframed(503, body.len());
     }
     let _ = stream.set_read_timeout(Some(deadline - elapsed));
-    let (reply, method, path) = match http::read_request(&mut stream) {
+    let (reply, method, path) = match http::read_request(stream) {
         Ok(req) => {
             let reply = handlers::handle(&req, state);
             (reply, req.method, req.path)
@@ -453,7 +524,7 @@ fn serve_connection(job: Job, state: &ServerState, deadline: Duration) -> Outcom
             ntc_obs::counter_add("serve.deadline_missed", 1);
             let body = error_body("deadline", "request not received within the deadline");
             let _ = http::write_response_full(
-                &mut stream,
+                stream,
                 503,
                 "application/json",
                 Some(req_id),
@@ -468,7 +539,7 @@ fn serve_connection(job: Job, state: &ServerState, deadline: Duration) -> Outcom
     }
     ntc_obs::counter_add("serve.responses", 1);
     let _ = http::write_response_full(
-        &mut stream,
+        stream,
         reply.status,
         reply.content_type,
         Some(req_id),
@@ -477,4 +548,49 @@ fn serve_connection(job: Job, state: &ServerState, deadline: Duration) -> Outcom
     );
     let route = if path.is_empty() { "unframed" } else { handlers::route_label(&path) };
     Outcome { route, method, path, status: reply.status, bytes: reply.body.len() }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn interned_route_metric_names_match_the_formatted_spelling() {
+        for &route in ROUTES {
+            for status in [200, 400, 404, 405, 413, 500, 503, 418] {
+                let (counter, histogram) = route_metric_names(route, status);
+                assert_eq!(counter, format!("serve.route.{route}.status.{status}"));
+                assert_eq!(matches!(counter, Cow::Borrowed(_)), status != 418, "{counter}");
+                assert_eq!(histogram, format!("serve.route.{route}.latency_ms"));
+            }
+        }
+        // Every label the router hands out is in the vocabulary.
+        for path in [
+            "/v1/healthz",
+            "/metrics",
+            "/v1/progress",
+            "/v1/experiments",
+            "/v1/run",
+            "/v1/query",
+            "/v1/optimize",
+            "/v1/api",
+            "/v1/artifact/fig6",
+            "/nope",
+        ] {
+            assert!(ROUTES.contains(&handlers::route_label(path)), "{path}");
+        }
+    }
+
+    #[test]
+    fn unspecified_bind_addresses_are_woken_through_loopback() {
+        for (bound, woken) in [
+            ("0.0.0.0:80", "127.0.0.1:80"),
+            ("[::]:80", "[::1]:80"),
+            ("127.0.0.1:80", "127.0.0.1:80"),
+            ("10.1.2.3:80", "10.1.2.3:80"),
+        ] {
+            let bound: SocketAddr = bound.parse().unwrap();
+            assert_eq!(wake_addr(bound), woken.parse::<SocketAddr>().unwrap());
+        }
+    }
 }

@@ -4,7 +4,7 @@
 //! fixed number of worker shards decided once at startup (defaulting
 //! to the engine's resolved thread count), each worker identified by
 //! its shard index in spans. The queue between the acceptor and the
-//! shards is **bounded**: when it is full the acceptor answers `503`
+//! shards is **bounded**: when it is full the rejector answers `503`
 //! immediately instead of letting latency grow without bound —
 //! backpressure is part of the API contract, not an accident.
 //!

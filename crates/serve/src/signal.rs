@@ -5,8 +5,11 @@
 //! workspace takes no external dependencies, so the handler is
 //! registered straight against the C `signal()` that `std` already
 //! links. The handler body only stores to an [`AtomicBool`] — one of
-//! the few operations that is async-signal-safe — and the accept loop
-//! polls the flag.
+//! the few operations that is async-signal-safe. The acceptor sleeps in
+//! a blocking `accept()` and never sees the flag;
+//! [`RunningServer::join`](crate::RunningServer::join) polls it on the
+//! caller's otherwise idle thread and then shuts the server down, which
+//! wakes the acceptor with a loopback connection.
 
 #[cfg(unix)]
 #[allow(unsafe_code)]

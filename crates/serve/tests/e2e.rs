@@ -196,9 +196,54 @@ fn overflowing_the_queue_gets_an_immediate_503() {
     assert_eq!(bounced.status, 503, "third request must bounce: {}", bounced.body);
     assert_eq!(error_kind(&bounced.body), "overloaded");
 
+    // A burst of silent connections, each of which would hold a
+    // per-rejection thread for its 250 ms read timeout: the server's
+    // thread count must not grow with the burst. Threads spawned by the
+    // acceptor inherit its name, so counting `serve-acceptor` tasks
+    // counts them; only other tests' live servers add one each.
+    let burst: Vec<TcpStream> =
+        (0..128).map(|_| TcpStream::connect(addr).expect("burst connects")).collect();
+    std::thread::sleep(Duration::from_millis(100));
+    let acceptor_tasks = threads_named("serve-acceptor");
+    assert!(
+        acceptor_tasks <= 32,
+        "{acceptor_tasks} acceptor-spawned threads during a 128-connection burst"
+    );
+    assert!(threads_named("serve-rejector") >= 1, "the rejector is one long-lived thread");
+
+    drop(burst);
     drop(pin);
     drop(queued);
     server.shutdown();
+}
+
+/// Threads of this process whose name (`/proc/self/task/*/comm`) is `name`.
+fn threads_named(name: &str) -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("procfs")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.trim_end() == name)
+        .count()
+}
+
+#[test]
+fn shutdown_of_an_idle_server_is_prompt() {
+    // The acceptor sleeps in a blocking accept(); shutdown must wake it
+    // through loopback even when the server is bound to the unspecified
+    // address.
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let server = Server::bind(ServeConfig {
+            addr: addr.to_string(),
+            workers: 1,
+            ..ServeConfig::default()
+        })
+        .expect("bind");
+        std::thread::sleep(Duration::from_millis(50));
+        let started = std::time::Instant::now();
+        server.shutdown();
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(1), "shutdown of {addr} took {took:?}");
+    }
 }
 
 #[test]

@@ -7,12 +7,22 @@
 //! The obs registry and span collector are process-global and the test
 //! harness runs threads concurrently, so every test here enables the
 //! layer (idempotent), uses snapshots keyed by unique metric names or
-//! span-name filters, and never calls `ntc_obs::reset`/`disable`.
+//! span-name filters, and never calls `ntc_obs::reset`/`disable`. Tests
+//! that record or drain spans hold [`SPANS`], so one test's drain never
+//! takes another's spans out of the bounded span ring.
 
 use ntc::artifact::json::{parse, JsonValue};
 use ntc::repro::{ExperimentId, find_id, run_one, RunCtx};
 use ntc_obs::SpanRecord;
 use ntc_stats::exec::{mc_counter, par_map_with_threads};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+static SPANS: Mutex<()> = Mutex::new(());
+
+/// Exclusive use of the process-global span ring.
+fn span_ring() -> MutexGuard<'static, ()> {
+    SPANS.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Drained spans are global; filter to the ones a test just produced.
 fn spans_named<'a>(spans: &'a [SpanRecord], name: &str) -> Vec<&'a SpanRecord> {
@@ -21,6 +31,7 @@ fn spans_named<'a>(spans: &'a [SpanRecord], name: &str) -> Vec<&'a SpanRecord> {
 
 #[test]
 fn par_map_worker_spans_nest_under_the_fanout_span() {
+    let _ring = span_ring();
     ntc_obs::enable();
     let _ = ntc_obs::take_spans(); // start from a clean collector view
     let out = par_map_with_threads(64, 4, |i| i * 2);
@@ -51,6 +62,7 @@ fn par_map_worker_spans_nest_under_the_fanout_span() {
 
 #[test]
 fn mc_shard_spans_carry_shard_keys_and_sample_counter() {
+    let _ring = span_ring();
     ntc_obs::enable();
     let before = ntc_obs::metrics_snapshot()
         .counter("exec.mc.samples")
@@ -116,6 +128,7 @@ fn chrome_trace_golden_bytes() {
 
 #[test]
 fn chrome_trace_is_valid_json_with_consistent_timestamps() {
+    let _ring = span_ring();
     ntc_obs::enable();
     let _ = ntc_obs::take_spans();
     // Produce a real nested workload: fan-out plus sharded MC.
@@ -170,6 +183,7 @@ fn chrome_trace_is_valid_json_with_consistent_timestamps() {
 
 #[test]
 fn artifacts_are_byte_identical_with_instrumentation_on() {
+    let _ring = span_ring();
     // Run once with the layer in whatever state the process is in,
     // then force it ON and run again: artifact bytes must not move.
     // (Thread-count invariance is covered by the exec suite; this is
@@ -189,6 +203,7 @@ fn artifacts_are_byte_identical_with_instrumentation_on() {
 
 #[test]
 fn metrics_json_is_byte_identical_across_thread_counts() {
+    let _ring = span_ring();
     // `exec::threads()` is resolved once per process, so NTC_THREADS
     // itself cannot vary inside one test binary; `par_map_with_threads`
     // pins the worker count explicitly, which is the same code path the
@@ -235,6 +250,7 @@ fn metrics_json_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn instrumented_crates_report_their_metrics() {
+    let _ring = span_ring();
     ntc_obs::enable();
     let ctx = RunCtx::quick();
     // table2 drives the FIT solver through the memoized energy model;
@@ -251,4 +267,31 @@ fn instrumented_crates_report_their_metrics() {
         "optimizer iterations counted"
     );
     assert!(snap.counter("fit.grid.cells").unwrap_or(0) > 0, "grid cells counted");
+}
+
+#[test]
+fn a_paper_scale_traced_pass_fits_the_span_ring() {
+    // `repro run --all --scale paper --trace` must keep every span: the
+    // ring only overwrites in processes that never drain it.
+    let _ring = span_ring();
+    ntc_obs::enable();
+    let _ = ntc_obs::take_spans();
+    let dropped = || ntc_obs::metrics_snapshot().counter("obs.spans_dropped").unwrap_or(0);
+    let before = dropped();
+    let ctx = RunCtx::paper();
+    for &id in &ExperimentId::ALL {
+        let _ = run_one(find_id(id).as_ref(), &ctx);
+    }
+    let spans = ntc_obs::take_spans();
+    assert_eq!(dropped(), before, "a traced paper pass overwrote spans");
+    assert!(
+        spans.len() < ntc_obs::SPAN_RING,
+        "{} spans would not fit the {}-span ring",
+        spans.len(),
+        ntc_obs::SPAN_RING
+    );
+    for &id in &ExperimentId::ALL {
+        let name = format!("repro.{}", id.as_str());
+        assert_eq!(spans_named(&spans, &name).len(), 1, "{name} recorded once");
+    }
 }
