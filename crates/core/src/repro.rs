@@ -1408,15 +1408,7 @@ impl Experiment for Profile {
 /// admissible bit-error probability to a supply on the cell-based law.
 fn bisect_min_voltage(fail: impl Fn(f64) -> f64) -> f64 {
     let law = AccessLaw::cell_based_40nm();
-    let (mut lo, mut hi) = (0.0f64, 0.1f64);
-    for _ in 0..120 {
-        let mid = 0.5 * (lo + hi);
-        if fail(mid) <= 1e-15 {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
+    let (lo, _) = ntc_stats::math::bisect(0.0, 0.1, 120, |p| fail(p) <= 1e-15);
     law.vdd_for_p(lo.max(1e-300))
 }
 

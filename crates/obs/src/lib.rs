@@ -96,6 +96,7 @@ pub fn disable() {
 }
 
 /// A registered metric instrument.
+#[derive(Clone)]
 enum Instrument {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
@@ -107,18 +108,26 @@ fn registry() -> &'static Mutex<BTreeMap<String, Instrument>> {
     REGISTRY.get_or_init(|| Mutex::new(BTreeMap::new()))
 }
 
+/// The instrument registered under `name`, registering `make()` first if
+/// there is none. The name is copied only on that first registration.
+fn registered(name: &str, make: impl FnOnce() -> Instrument) -> Instrument {
+    let mut reg = registry().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    if let Some(inst) = reg.get(name) {
+        return inst.clone();
+    }
+    let inst = make();
+    reg.insert(name.to_string(), inst.clone());
+    inst
+}
+
 /// Gets or creates the counter registered under `name`.
 ///
 /// If `name` is already registered as a different kind, a detached
 /// counter (absent from snapshots) is returned rather than panicking.
 #[must_use]
 pub fn counter(name: &str) -> Arc<Counter> {
-    let mut reg = registry().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    match reg
-        .entry(name.to_string())
-        .or_insert_with(|| Instrument::Counter(Arc::new(Counter::new())))
-    {
-        Instrument::Counter(c) => Arc::clone(c),
+    match registered(name, || Instrument::Counter(Arc::new(Counter::new()))) {
+        Instrument::Counter(c) => c,
         _ => Arc::new(Counter::new()),
     }
 }
@@ -127,12 +136,8 @@ pub fn counter(name: &str) -> Arc<Counter> {
 /// for the kind-mismatch rule).
 #[must_use]
 pub fn gauge(name: &str) -> Arc<Gauge> {
-    let mut reg = registry().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    match reg
-        .entry(name.to_string())
-        .or_insert_with(|| Instrument::Gauge(Arc::new(Gauge::new())))
-    {
-        Instrument::Gauge(g) => Arc::clone(g),
+    match registered(name, || Instrument::Gauge(Arc::new(Gauge::new()))) {
+        Instrument::Gauge(g) => g,
         _ => Arc::new(Gauge::new()),
     }
 }
@@ -142,12 +147,8 @@ pub fn gauge(name: &str) -> Arc<Gauge> {
 /// instrument (see [`counter`]).
 #[must_use]
 pub fn histogram(name: &str, bounds: &[f64]) -> Arc<Histogram> {
-    let mut reg = registry().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    match reg
-        .entry(name.to_string())
-        .or_insert_with(|| Instrument::Histogram(Arc::new(Histogram::new(bounds))))
-    {
-        Instrument::Histogram(h) => Arc::clone(h),
+    match registered(name, || Instrument::Histogram(Arc::new(Histogram::new(bounds)))) {
+        Instrument::Histogram(h) => h,
         _ => Arc::new(Histogram::new(bounds)),
     }
 }
@@ -251,6 +252,22 @@ mod tests {
         let detached = gauge("lib_test.c");
         detached.set(9.0);
         assert_eq!(metrics_snapshot().counter("lib_test.c"), Some(5));
+    }
+
+    #[test]
+    fn lookups_return_the_registered_instrument() {
+        let c = counter("lib_test.same.c");
+        assert!(Arc::ptr_eq(&c, &counter("lib_test.same.c")));
+        let g = gauge("lib_test.same.g");
+        assert!(Arc::ptr_eq(&g, &gauge("lib_test.same.g")));
+        let h = histogram("lib_test.same.h", &[1.0]);
+        assert!(Arc::ptr_eq(&h, &histogram("lib_test.same.h", &[2.0])));
+        // A kind mismatch still detaches: a fresh instrument each call,
+        // absent from snapshots.
+        let detached = counter("lib_test.same.g");
+        assert!(!Arc::ptr_eq(&detached, &counter("lib_test.same.g")));
+        detached.add(4);
+        assert_eq!(metrics_snapshot().get("lib_test.same.g"), Some(&MetricValue::Gauge(0.0)));
     }
 
     #[test]

@@ -718,6 +718,7 @@ mod tests {
 
     #[test]
     fn optimize_is_memoized_across_axis_enumeration_orders() {
+        let _g = run_locked();
         ntc_obs::enable();
         let state = ServerState::new(2014);
         let computed = ntc_obs::counter("serve.optimize.computed");

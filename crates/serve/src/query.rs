@@ -75,14 +75,7 @@ pub fn eval(query: &QueryRequest, models: &Models) -> Result<QueryResponse, NtcE
     match query.kind {
         QueryKind::Ber { law, memory, vdd } => {
             let p = match law {
-                LawKind::Access => {
-                    let l = match memory {
-                        Memory::Commercial40 => AccessLaw::commercial_40nm(),
-                        Memory::CellBased40 => AccessLaw::cell_based_40nm(),
-                        Memory::CellBased65 => unreachable!("rejected at parse"),
-                    };
-                    l.p_bit(vdd)
-                }
+                LawKind::Access => access_law(memory)?.p_bit(vdd),
                 LawKind::Retention => {
                     let l = match memory {
                         Memory::Commercial40 => RetentionLaw::commercial_40nm(),
@@ -95,12 +88,7 @@ pub fn eval(query: &QueryRequest, models: &Models) -> Result<QueryResponse, NtcE
             Ok(QueryResponse::Ber { id, law, memory, vdd, p_bit: p })
         }
         QueryKind::Vmin { scheme, memory, fit_target, frequency_hz, grid } => {
-            let law = match memory {
-                Memory::Commercial40 => AccessLaw::commercial_40nm(),
-                Memory::CellBased40 => AccessLaw::cell_based_40nm(),
-                Memory::CellBased65 => unreachable!("rejected at parse"),
-            };
-            let solver = FitSolver::new(law, fit_target).with_grid(grid);
+            let solver = FitSolver::new(access_law(memory)?, fit_target).with_grid(grid);
             let max_p_bit = solver.max_p_bit(scheme);
             let (error_constrained, performance_constrained, operating) = match frequency_hz {
                 None => (
@@ -164,6 +152,20 @@ pub fn eval(query: &QueryRequest, models: &Models) -> Result<QueryResponse, NtcE
                 power_w: point.power_w(),
             })
         }
+    }
+}
+
+/// The access law of `memory`. Parsing rejects `cell_based_65nm`, but
+/// [`QueryRequest`]'s fields are public, so a request built directly can
+/// still name it.
+fn access_law(memory: Memory) -> Result<AccessLaw, NtcError> {
+    match memory {
+        Memory::Commercial40 => Ok(AccessLaw::commercial_40nm()),
+        Memory::CellBased40 => Ok(AccessLaw::cell_based_40nm()),
+        Memory::CellBased65 => Err(NtcError::invalid_param(
+            "memory",
+            "no access law is characterized for cell_based_65nm (retention only)",
+        )),
     }
 }
 
@@ -267,6 +269,26 @@ mod tests {
             };
             assert_eq!(err.kind(), kind, "{text}");
             assert!(err.to_string().contains(needle), "{text}: {err}");
+        }
+    }
+
+    #[test]
+    fn hand_built_requests_without_an_access_law_are_client_errors() {
+        use ntc::fit::{Scheme, VoltageGrid};
+        for kind in [
+            QueryKind::Ber { law: LawKind::Access, memory: Memory::CellBased65, vdd: 0.4 },
+            QueryKind::Vmin {
+                scheme: Scheme::Ocean,
+                memory: Memory::CellBased65,
+                fit_target: 1e-15,
+                frequency_hz: None,
+                grid: VoltageGrid::PaperGrid,
+            },
+        ] {
+            let query = QueryRequest { id: None, kind };
+            let err = eval(&query, &models()).unwrap_err();
+            assert_eq!(err.kind(), "invalid_param", "{query:?}");
+            assert!(err.to_string().contains("cell_based_65nm"), "{err}");
         }
     }
 

@@ -7,8 +7,10 @@
 //! evaluated as log-sum-exp over exact binomial terms — no Poisson or
 //! leading-term shortcuts that would distort the solved voltages.
 
+use ntc_stats::math::bisect;
+use std::collections::VecDeque;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// `ln(n!)` with a cached table for small `n` and Stirling's series above.
 ///
@@ -160,6 +162,11 @@ impl WordErrorModel {
     /// i.e. if no `p ∈ (0, 1)` exists because the target is unreachable
     /// (`target ≤ 0`) — for `target ≥ 1` the answer is `1.0`.
     ///
+    /// The answer depends only on `(bits, correctable, target)`, so each
+    /// distinct inversion is solved once per process: a FIFO table holds
+    /// the 64 most recently solved. Targets can come from clients, which
+    /// is why the table is bounded.
+    ///
     /// # Panics
     ///
     /// Panics if `correctable >= bits` (the scheme can never fail, so any
@@ -176,23 +183,50 @@ impl WordErrorModel {
         if target >= 1.0 {
             return Some(1.0);
         }
+        let key = (self.bits, correctable, target.to_bits());
+        let hit = memo_find(&max_p_bit_memo(), key);
+        if let Some(p) = hit {
+            return Some(p);
+        }
+        let p = self.solve_max_p_bit(correctable, target);
+        let mut memo = max_p_bit_memo();
+        if memo_find(&memo, key).is_none() {
+            if memo.len() == MAX_P_BIT_MEMO {
+                memo.pop_front();
+            }
+            memo.push_back((key, p));
+        }
+        Some(p)
+    }
+
+    /// The uncached inversion behind
+    /// [`WordErrorModel::max_p_bit_for_target`], for `0 < target < 1`.
+    fn solve_max_p_bit(&self, correctable: u32, target: f64) -> f64 {
         let ln_target = target.ln();
         let f = |p: f64| self.ln_p_word_failure(correctable, p) - ln_target;
         // Failure probability is monotone increasing in p.
-        let (mut lo, mut hi) = (0.0_f64, 1.0_f64);
-        if f(hi) <= 0.0 {
-            return Some(1.0);
+        if f(1.0) <= 0.0 {
+            return 1.0;
         }
-        for _ in 0..200 {
-            let mid = 0.5 * (lo + hi);
-            if f(mid) <= 0.0 {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        Some(lo)
+        bisect(0.0, 1.0, 200, |p| f(p) <= 0.0).0
     }
+}
+
+/// Capacity of the table behind [`WordErrorModel::max_p_bit_for_target`].
+const MAX_P_BIT_MEMO: usize = 64;
+
+/// `(bits, correctable, target bits)` of one memoized inversion.
+type MaxPBitKey = (u32, u32, u64);
+
+/// The memo table, oldest entry first. Every update leaves it valid, so a
+/// poisoned lock is recovered rather than propagated.
+fn max_p_bit_memo() -> MutexGuard<'static, VecDeque<(MaxPBitKey, f64)>> {
+    static MEMO: Mutex<VecDeque<(MaxPBitKey, f64)>> = Mutex::new(VecDeque::new());
+    MEMO.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn memo_find(memo: &VecDeque<(MaxPBitKey, f64)>, key: MaxPBitKey) -> Option<f64> {
+    memo.iter().find(|(k, _)| *k == key).map(|&(_, p)| p)
 }
 
 impl fmt::Display for WordErrorModel {
@@ -495,6 +529,76 @@ mod tests {
         let w = WordErrorModel::new(39);
         assert_eq!(w.max_p_bit_for_target(2, 0.0), None);
         assert_eq!(w.max_p_bit_for_target(2, 1.0), Some(1.0));
+    }
+
+    /// The fixed 200-step loop [`WordErrorModel::solve_max_p_bit`]
+    /// replaced, kept as its reference.
+    fn max_p_bit_fixed(w: &WordErrorModel, correctable: u32, target: f64) -> f64 {
+        let ln_target = target.ln();
+        let f = |p: f64| w.ln_p_word_failure(correctable, p) - ln_target;
+        let (mut lo, mut hi) = (0.0_f64, 1.0_f64);
+        if f(hi) <= 0.0 {
+            return 1.0;
+        }
+        for _ in 0..200 {
+            let mid = 0.5 * (lo + hi);
+            if f(mid) <= 0.0 {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// `n` targets log-spaced over `1e-300..=0.999`.
+    fn log_spaced_targets(n: u32) -> impl Iterator<Item = f64> {
+        let (a, b) = (-300.0, 0.999f64.log10());
+        (0..n).map(move |i| 10f64.powf(a + (b - a) * f64::from(i) / f64::from(n - 1)))
+    }
+
+    #[test]
+    fn max_p_bit_matches_the_fixed_step_loop_bit_for_bit() {
+        // Every (bits, correctable) pair meets the paper's budget and three
+        // of 16 log-spaced targets, rotating so each target meets ~490 pairs.
+        let grid: Vec<f64> = log_spaced_targets(16).collect();
+        let mut pair = 0;
+        for bits in 1..=72 {
+            let w = WordErrorModel::new(bits);
+            for correctable in 0..bits {
+                pair += 1;
+                let rotated = (0..3).map(|k| grid[(pair + 5 * k) % grid.len()]);
+                for target in rotated.chain([1e-15]) {
+                    assert_eq!(
+                        w.solve_max_p_bit(correctable, target).to_bits(),
+                        max_p_bit_fixed(&w, correctable, target).to_bits(),
+                        "{bits} bits, {correctable} correctable, target {target:e}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn max_p_bit_memo_is_bounded_and_exact() {
+        // 10 × 64 distinct keys; neighbours share a target, so a key that
+        // dropped `bits` or `correctable` would answer from the wrong entry.
+        let mut keys = 0;
+        for target in log_spaced_targets(32) {
+            for bits in [32, 39, 45, 57] {
+                let w = WordErrorModel::new(bits);
+                for correctable in 0..5 {
+                    keys += 1;
+                    let uncached = w.solve_max_p_bit(correctable, target).to_bits();
+                    for _ in 0..2 {
+                        let cached = w.max_p_bit_for_target(correctable, target).unwrap();
+                        assert_eq!(cached.to_bits(), uncached, "{bits}/{correctable}/{target:e}");
+                    }
+                    assert!(max_p_bit_memo().len() <= MAX_P_BIT_MEMO);
+                }
+            }
+        }
+        assert_eq!(keys, 10 * 64);
     }
 
     #[test]

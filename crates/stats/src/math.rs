@@ -399,6 +399,54 @@ pub fn inv_phi_block(ps: &[f64], out: &mut [f64]) {
     }
 }
 
+/// Bisects the bracket `[lo, hi]` for at most `max_steps` halvings and
+/// returns the final bracket. Each step evaluates `raise_lo(mid)` at
+/// `mid = 0.5 * (lo + hi)` and moves `lo` to `mid` when it holds, `hi`
+/// otherwise.
+///
+/// The result is bit-identical to running all `max_steps` steps. Once
+/// `mid` rounds onto an endpoint, that step's update either leaves the
+/// bracket unchanged or collapses it onto `mid`; every later step then
+/// re-evaluates the same `mid` and makes the same no-op update. So the
+/// loop applies that one update and stops. This needs nothing of the
+/// predicate but determinism — it may be non-monotone, and the bracket
+/// need not contain a crossing — and holds for finite endpoints whose
+/// sum does not overflow. Endpoints are compared bitwise so a signed
+/// zero midpoint never ends the loop early.
+///
+/// # Example
+///
+/// ```
+/// // √2 as the crossing of x² = 2, to the last bit in ~52 steps of 200.
+/// let mut evals = 0;
+/// let (lo, hi) = ntc_stats::math::bisect(1.0, 2.0, 200, |x| {
+///     evals += 1;
+///     x * x <= 2.0
+/// });
+/// assert_eq!(hi, lo.next_up());
+/// assert!(evals < 60);
+/// ```
+pub fn bisect(
+    mut lo: f64,
+    mut hi: f64,
+    max_steps: u32,
+    mut raise_lo: impl FnMut(f64) -> bool,
+) -> (f64, f64) {
+    for _ in 0..max_steps {
+        let mid = 0.5 * (lo + hi);
+        let last = mid.to_bits() == lo.to_bits() || mid.to_bits() == hi.to_bits();
+        if raise_lo(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+        if last {
+            break;
+        }
+    }
+    (lo, hi)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -638,6 +686,107 @@ mod tests {
         for (&p, &got) in ps.iter().zip(&out) {
             assert_eq!(got.to_bits(), inv_phi(p).to_bits(), "inv_phi_block({p})");
         }
+    }
+
+    /// The fixed-step loop [`bisect`] replaces, kept as its reference.
+    fn bisect_fixed(
+        mut lo: f64,
+        mut hi: f64,
+        steps: u32,
+        mut raise_lo: impl FnMut(f64) -> bool,
+    ) -> (f64, f64) {
+        for _ in 0..steps {
+            let mid = 0.5 * (lo + hi);
+            if raise_lo(mid) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        (lo, hi)
+    }
+
+    fn assert_bisect_exact(lo: f64, hi: f64, steps: u32, raise_lo: impl Fn(f64) -> bool) {
+        let got = bisect(lo, hi, steps, &raise_lo);
+        let want = bisect_fixed(lo, hi, steps, &raise_lo);
+        assert_eq!(
+            (got.0.to_bits(), got.1.to_bits()),
+            (want.0.to_bits(), want.1.to_bits()),
+            "bisect({lo}, {hi}, {steps}): {got:?} vs {want:?}"
+        );
+    }
+
+    /// The solvers' brackets and step counts, plus signed-zero, subnormal
+    /// and degenerate ones.
+    const BRACKETS: [(f64, f64, u32); 8] = [
+        (0.0, 1.0, 200),
+        (0.05, 1.32, 80),
+        (0.0, 0.1, 120),
+        (0.05, 0.05, 80),
+        (-0.0, 0.0, 10),
+        (-5e-324, 0.0, 10),
+        (-3.0, 7.5, 200),
+        (1e-310, 1e-300, 1100),
+    ];
+
+    #[test]
+    #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN-valued predicates on purpose
+    fn bisect_matches_the_fixed_step_loop_at_the_edges() {
+        for (lo, hi, steps) in BRACKETS {
+            let (mid, up, down) = (0.5 * (lo + hi), lo.next_up(), hi.next_down());
+            for t in [lo, hi, lo - 1.0, hi + 1.0, 0.0, -0.0, 5e-324, mid, up, down, f64::NAN] {
+                assert_bisect_exact(lo, hi, steps, |x| x <= t);
+                assert_bisect_exact(lo, hi, steps, |x| x < t);
+                // The bracket is violated on both sides: never or always raise.
+                assert_bisect_exact(lo, hi, steps, |_| t.is_nan());
+                // NaN-valued model, NaN-preserving comparison.
+                assert_bisect_exact(lo, hi, steps, |x| !((x - t).sqrt() >= 0.0));
+            }
+            // Signed-zero sensitive and non-monotone predicates.
+            assert_bisect_exact(lo, hi, steps, |x| x.is_sign_negative());
+            assert_bisect_exact(lo, hi, steps, |x| {
+                x.to_bits().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 63 == 0
+            });
+        }
+    }
+
+    proptest::proptest! {
+        /// Any threshold, in or out of the bracket, on the solvers'
+        /// brackets and on arbitrary ones.
+        #[test]
+        #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN-valued predicates on purpose
+        fn bisect_matches_the_fixed_step_loop(
+            t in -2.0f64..2.0,
+            a in -1e3f64..1e3,
+            b in -1e3f64..1e3,
+            steps in 0u32..300,
+            salt: u64,
+        ) {
+            for (lo, hi, _) in BRACKETS {
+                assert_bisect_exact(lo, hi, steps, |x| x <= t);
+                assert_bisect_exact(lo, hi, steps, |x| !(x.exp() - 1.0 >= t));
+            }
+            assert_bisect_exact(a.min(b), a.max(b), steps, |x| x * x * x <= t * 1e9);
+            assert_bisect_exact(a, b, steps, |x| (x.to_bits() ^ salt).count_ones() % 2 == 0);
+        }
+    }
+
+    #[test]
+    fn bisect_stops_early_on_a_converged_bracket() {
+        let mut evals = 0;
+        let (lo, hi) = bisect(0.0, 1.0, 200, |x| {
+            evals += 1;
+            x <= 1e-9
+        });
+        assert_eq!(hi, lo.next_up());
+        assert!(evals < 100, "{evals} evaluations");
+        // A collapsed bracket costs one evaluation.
+        let mut evals = 0;
+        bisect(0.05, 0.05, 80, |_| {
+            evals += 1;
+            false
+        });
+        assert_eq!(evals, 1);
     }
 
     #[test]
