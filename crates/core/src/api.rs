@@ -30,6 +30,9 @@ use crate::fit::{Scheme, VoltageGrid};
 use crate::repro::Scale;
 use ntc_sram::styles::CellStyle;
 
+/// FNV-1a 64-bit hash, the memoization key for canonical request bytes.
+pub use ntc_stats::ckpt::fnv64;
+
 // ---------------------------------------------------------------------
 // Field-level parse helpers (shared by every DTO).
 // ---------------------------------------------------------------------
@@ -263,20 +266,6 @@ pub fn parse_cell_style(s: &str) -> Result<CellStyle, NtcError> {
             format!("unknown cell family `{other}` — one of commercial_6t, custom_6t, cell_based_aoi"),
         )),
     }
-}
-
-// ---------------------------------------------------------------------
-// FNV-64 request hashing.
-// ---------------------------------------------------------------------
-
-/// FNV-1a 64-bit hash, the memoization key for canonical request bytes.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 // ---------------------------------------------------------------------

@@ -16,7 +16,7 @@
 //! 3. **Smallness.** Only what the artifact schema needs: no comments, no
 //!    trailing commas, UTF-8 strings with the mandatory escapes.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed or constructed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,7 +97,7 @@ impl JsonValue {
             JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             JsonValue::Num(v) => {
                 debug_assert!(v.is_finite(), "use JsonValue::num for non-finite values");
-                out.push_str(&format!("{v}"));
+                write!(out, "{v}").expect("writing to a String cannot fail");
             }
             JsonValue::Str(s) => write_escaped(out, s),
             JsonValue::Arr(items) => {
@@ -161,7 +161,7 @@ impl JsonValue {
         match self {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Num(v) => out.push_str(&format!("{v}")),
+            JsonValue::Num(v) => write!(out, "{v}").expect("writing to a String cannot fail"),
             JsonValue::Str(s) => write_escaped(out, s),
             JsonValue::Arr(items) => {
                 out.push('[');
@@ -213,7 +213,7 @@ fn write_escaped(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                write!(out, "\\u{:04x}", c as u32).expect("writing to a String cannot fail");
             }
             c => out.push(c),
         }
@@ -450,6 +450,7 @@ mod tests {
             JsonValue::Num(1e-15),
             JsonValue::Num(1.0000000000000002),
             JsonValue::Str("he said \"µW\"\n".to_string()),
+            JsonValue::Str("bell\u{7}\u{1f}".to_string()),
         ] {
             assert_eq!(round_trip(&v), v);
         }
@@ -532,9 +533,12 @@ mod tests {
         let v = JsonValue::Obj(vec![
             ("a".to_string(), JsonValue::Num(1.5)),
             ("b".to_string(), JsonValue::Str("x\"y".to_string())),
+            ("c".to_string(), JsonValue::Arr(vec![JsonValue::Num(-2e-7), JsonValue::Null])),
+            ("d".to_string(), JsonValue::Str("\u{1}".to_string())),
         ]);
         let mut s = String::new();
         v.write_compact(&mut s);
+        assert_eq!(s, r#"{"a":1.5,"b":"x\"y","c":[-0.0000002,null],"d":"\u0001"}"#);
         assert_eq!(parse(&s).unwrap(), v);
     }
 }

@@ -24,6 +24,12 @@
 //! `min_words`) evaluate to `+∞` rather than erroring, so the optimizer
 //! walks around them; a request whose whole space is infeasible comes
 //! back with `feasible: false`.
+//!
+//! On the `paper` grid every engine coordinate snaps to one of a few
+//! grid points, so the engine asks for the same design point dozens of
+//! times; a per-request memo prices each (choice, grid point) once.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use ntc_memcalc::instance::{MemoryMacro, MemoryOrganization};
 use ntc_stats::opt::{self, OptConfig, SearchSpace};
@@ -40,6 +46,18 @@ const VDD_TOL: f64 = 1e-4;
 
 /// Coordinate-sweep safety cap per restart.
 const MAX_SWEEPS: u32 = 64;
+
+/// Largest objective memo one request may allocate (2 MiB of `u64`
+/// slots). Every request the decoder accepts fits: at most 3 cells ×
+/// 3 schemes × 25 bank counts (powers of two ≤ 2^24) × 64 word counts ×
+/// 18 grid points (`hi ≤ 2.0 V`) = 259,200 slots. A hand-built request
+/// beyond it runs unmemoized rather than allocating without bound.
+const MEMO_MAX_SLOTS: usize = 1 << 18;
+
+/// Bit pattern of an unfilled memo slot: a NaN payload no arithmetic on
+/// the objective's finite inputs produces. A computed value with these
+/// exact bits is simply never stored, so a filled slot is unambiguous.
+const EMPTY: u64 = u64::MAX;
 
 /// The 110 mV grid points inside `[lo, hi]`, in ascending order.
 #[cfg(test)]
@@ -68,6 +86,12 @@ struct Evaluator<'a> {
     /// optimizer rediscovers the published points rather than the
     /// next-grid-point-up conservative reading.
     vdd_floor: Vec<Vec<f64>>,
+    /// Objective memo on the `paper` grid, one slot per (flattened
+    /// discrete choice, grid index); [`EMPTY`] until scored. Shared by
+    /// the restarts the engine fans out: a race only repeats a pure
+    /// computation and stores the same bits. Empty on the `exact` grid,
+    /// whose coordinates never repeat.
+    memo: Vec<AtomicU64>,
 }
 
 impl Evaluator<'_> {
@@ -103,7 +127,20 @@ impl Evaluator<'_> {
             }
             _ => None,
         };
-        Evaluator { req, grid_window, vdd_floor }
+        let memo = match grid_window {
+            Some((k_lo, k_hi)) if k_lo <= k_hi => {
+                let s = &req.space;
+                [s.cells.len(), s.schemes.len(), s.banks.len(), s.words.len()]
+                    .into_iter()
+                    .try_fold((k_hi - k_lo + 1) as usize, usize::checked_mul)
+                    .filter(|&slots| slots <= MEMO_MAX_SLOTS)
+                    .map_or_else(Vec::new, |slots| {
+                        (0..slots).map(|_| AtomicU64::new(EMPTY)).collect()
+                    })
+            }
+            _ => Vec::new(),
+        };
+        Evaluator { req, grid_window, vdd_floor, memo }
     }
 
     /// The search-space shape for the engine: discrete axes in the
@@ -126,11 +163,28 @@ impl Evaluator<'_> {
     fn vdd_of(&self, x: f64) -> f64 {
         match self.grid_window {
             None => x,
-            Some((k_lo, k_hi)) => {
-                let k = (x / GRID_STEP).round().clamp(k_lo as f64, k_hi as f64);
+            Some(window) => {
+                let k = grid_index(x, window);
                 (k * GRID_STEP * 1000.0).round() / 1000.0
             }
         }
+    }
+
+    /// The memo slot of a candidate point: the design [`Self::report`]
+    /// prices depends only on the choice and the grid index `vdd_of`
+    /// snaps `x` to. `None` when there is no memo.
+    fn memo_slot(&self, choice: &[usize], x: f64) -> Option<&AtomicU64> {
+        let window @ (k_lo, k_hi) = self.grid_window?;
+        let k = grid_index(x, window);
+        if self.memo.is_empty() || k.is_nan() {
+            return None;
+        }
+        let s = &self.req.space;
+        let flat = ((choice[0] * s.schemes.len() + choice[1]) * s.banks.len() + choice[2])
+            * s.words.len()
+            + choice[3];
+        let points = (k_hi - k_lo + 1) as usize;
+        self.memo.get(flat * points + (k as i64 - k_lo) as usize)
     }
 
     /// Full report for a candidate point; `None` when infeasible.
@@ -187,10 +241,34 @@ impl Evaluator<'_> {
         })
     }
 
-    /// The engine objective: weighted scalar, `+∞` when infeasible.
-    fn objective(&self, choice: &[usize], x: f64) -> f64 {
+    /// The weighted scalar of a candidate point, `+∞` when infeasible.
+    fn score(&self, choice: &[usize], x: f64) -> f64 {
         self.report(choice, x).map_or(f64::INFINITY, |r| r.objective)
     }
+
+    /// The engine objective: [`Self::score`], priced once per design
+    /// point on the `paper` grid.
+    fn objective(&self, choice: &[usize], x: f64) -> f64 {
+        let Some(slot) = self.memo_slot(choice, x) else {
+            return self.score(choice, x);
+        };
+        // `Relaxed` suffices: the slot publishes only its own value.
+        let bits = slot.load(Ordering::Relaxed);
+        if bits != EMPTY {
+            return f64::from_bits(bits);
+        }
+        let v = self.score(choice, x);
+        if v.to_bits() != EMPTY {
+            slot.store(v.to_bits(), Ordering::Relaxed);
+        }
+        v
+    }
+}
+
+/// The grid index `vdd_of` snaps engine coordinate `x` to: the nearest
+/// 110 mV multiple clamped into `[k_lo, k_hi]` (`NaN` for a `NaN` x).
+fn grid_index(x: f64, (k_lo, k_hi): (i64, i64)) -> f64 {
+    (x / GRID_STEP).round().clamp(k_lo as f64, k_hi as f64)
 }
 
 /// Runs the autotuner. Pure function of the canonicalized request —
@@ -201,6 +279,20 @@ pub fn optimize(req: &OptimizeRequest) -> OptimizeResponse {
     let mut span = ntc_obs::span("optimize.run");
     ntc_obs::counter_add("optimize.requests", 1);
     let ev = Evaluator::new(&req);
+    let resp = search(&req, &ev, |choice, x| ev.objective(choice, x));
+    span.add_items(resp.convergence.evaluations);
+    if let Some(r) = &resp.best {
+        ntc_obs::gauge_set("optimize.best_objective", r.objective);
+    }
+    resp
+}
+
+/// Runs the engine over `ev`'s space with objective `f` and renders
+/// the response for the canonical request `req`.
+fn search<F>(req: &OptimizeRequest, ev: &Evaluator<'_>, f: F) -> OptimizeResponse
+where
+    F: Fn(&[usize], f64) -> f64 + Sync,
+{
     let space = match ev.space() {
         Ok(space) => space,
         // Degenerate only when the requested VDD window contains no
@@ -225,16 +317,12 @@ pub fn optimize(req: &OptimizeRequest) -> OptimizeResponse {
         tol: VDD_TOL,
         max_sweeps: MAX_SWEEPS,
     };
-    let (best, conv) = opt::minimize(&space, &cfg, |choice, x| ev.objective(choice, x));
-    span.add_items(conv.evaluations);
+    let (best, conv) = opt::minimize(&space, &cfg, f);
     let report = if best.value.is_finite() {
         ev.report(&best.choice, best.x)
     } else {
         None
     };
-    if let Some(r) = &report {
-        ntc_obs::gauge_set("optimize.best_objective", r.objective);
-    }
     OptimizeResponse {
         request_hash: req.request_hash_hex(),
         feasible: report.is_some(),
@@ -254,11 +342,136 @@ mod tests {
     use crate::api::DesignSpaceSpec;
     use crate::fit::Scheme;
     use ntc_sram::styles::CellStyle;
+    use ntc_stats::rng::Source;
+    use std::sync::Barrier;
 
     fn paper_req(frequency_hz: f64) -> OptimizeRequest {
         let mut req = OptimizeRequest::paper(frequency_hz);
         req.canonicalize();
         req
+    }
+
+    /// The unmemoized reference: the same search with every engine
+    /// call priced through `report`.
+    fn reference(req: &OptimizeRequest) -> OptimizeResponse {
+        let mut req = req.clone();
+        req.canonicalize();
+        let ev = Evaluator::new(&req);
+        search(&req, &ev, |choice, x| ev.score(choice, x))
+    }
+
+    /// Two memoized searches started together on two threads, sharing
+    /// one evaluator and so racing on every memo slot.
+    fn shared_memo_runs(req: &OptimizeRequest) -> Vec<String> {
+        let mut req = req.clone();
+        req.canonicalize();
+        let ev = Evaluator::new(&req);
+        let start = Barrier::new(2);
+        std::thread::scope(|s| {
+            let runs: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        search(&req, &ev, |choice, x| ev.objective(choice, x)).to_json()
+                    })
+                })
+                .collect();
+            runs.into_iter().map(|h| h.join().expect("search thread")).collect()
+        })
+    }
+
+    /// A seeded set covering every memo case: paper presets at several
+    /// clocks, narrowed and single-point windows, no capacity floor,
+    /// mixed weights, an all-infeasible space and the exact grid.
+    fn memo_cases() -> Vec<OptimizeRequest> {
+        let mut rng = Source::stream(17, 0);
+        let mut cases: Vec<_> = [100e3, 290e3, 1.96e6].into_iter().map(paper_req).collect();
+        for _ in 0..3 {
+            let mut req = paper_req(rng.uniform_in(1e5, 2e6));
+            req.space.vdd.lo = rng.uniform_in(0.15, 0.5);
+            req.space.vdd.hi = rng.uniform_in(req.space.vdd.lo + 0.12, 1.3);
+            req.seed = rng.below(1 << 20);
+            req.restarts = 3;
+            cases.push(req);
+        }
+        let mut single = paper_req(290e3);
+        single.space.vdd.lo = 0.43;
+        single.space.vdd.hi = 0.45;
+        cases.push(single);
+        let mut no_floor = paper_req(rng.uniform_in(1e5, 2e6));
+        no_floor.constraints.min_words = None;
+        cases.push(no_floor);
+        let mut weighted = paper_req(290e3);
+        weighted.objective.energy = rng.uniform_in(0.0, 1.0);
+        weighted.objective.delay = rng.uniform_in(0.0, 1e-4);
+        weighted.objective.area = rng.uniform_in(0.0, 10.0);
+        cases.push(weighted);
+        let mut infeasible = paper_req(290e3);
+        infeasible.constraints.frequency_hz = 1e10;
+        cases.push(infeasible);
+        let mut exact = paper_req(290e3);
+        exact.space.vdd.grid = VoltageGrid::Exact;
+        exact.space.cells = vec![CellStyle::CellBasedAoi];
+        exact.space.schemes = vec![Scheme::Secded, Scheme::Ocean];
+        exact.space.banks = vec![1, 2];
+        exact.restarts = 2;
+        cases.push(exact);
+        cases
+    }
+
+    #[test]
+    fn memoized_search_matches_the_unmemoized_reference_bit_for_bit() {
+        for req in memo_cases() {
+            let want = reference(&req).to_json();
+            assert_eq!(optimize(&req).to_json(), want, "{}", req.to_json());
+            for got in shared_memo_runs(&req) {
+                assert_eq!(got, want, "shared memo: {}", req.to_json());
+            }
+        }
+    }
+
+    #[test]
+    fn paper_grid_prices_each_design_point_once() {
+        let req = paper_req(290e3);
+        let ev = Evaluator::new(&req);
+        assert_eq!(ev.memo.len(), 3 * 3 * 6 * 5 * 9);
+        let resp = search(&req, &ev, |choice, x| ev.objective(choice, x));
+        let priced = ev.memo.iter().filter(|slot| slot.load(Ordering::Relaxed) != EMPTY).count();
+        assert!(priced > 0);
+        assert!(
+            (priced as u64) * 10 < resp.convergence.evaluations,
+            "{priced} priced points for {} engine calls",
+            resp.convergence.evaluations
+        );
+
+        let mut exact = req.clone();
+        exact.space.vdd.grid = VoltageGrid::Exact;
+        assert!(Evaluator::new(&exact).memo.is_empty(), "exact coordinates never repeat");
+    }
+
+    #[test]
+    fn largest_decodable_space_matches_the_reference() {
+        let mut req = paper_req(290e3);
+        req.space.banks = (0..=24).map(|i| 1u32 << i).collect();
+        req.space.words = (1..=64).map(|i| i * 512).collect();
+        req.space.vdd.lo = 0.11;
+        req.space.vdd.hi = 2.0;
+        req.restarts = 2;
+        let req = OptimizeRequest::from_json(&req.to_json()).expect("the decoder accepts it");
+        assert_eq!(Evaluator::new(&req).memo.len(), 3 * 3 * 25 * 64 * 18);
+        let (got, want) = (optimize(&req), reference(&req));
+        assert!(want.feasible);
+        assert_eq!(got.feasible, want.feasible);
+        assert_eq!(got.to_json(), want.to_json());
+    }
+
+    #[test]
+    fn oversized_hand_built_spaces_run_unmemoized() {
+        // 270 discrete choices × 9,090 grid points: past the decoder's
+        // 2.0 V ceiling, so past the memo bound too.
+        let mut req = paper_req(290e3);
+        req.space.vdd.hi = 1000.0;
+        assert!(Evaluator::new(&req).memo.is_empty());
     }
 
     #[test]

@@ -30,7 +30,7 @@
 use crate::soc::SocEnergyModel;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Voltage quantization step for cache keys: 0.05 mV.
 pub const V_QUANTUM: f64 = 0.05e-3;
@@ -67,8 +67,10 @@ impl CacheStats {
 ///
 /// Thread-safe: the memo table is behind a mutex (queries are far cheaper
 /// than model evaluation, so contention is negligible at the call rates
-/// here), and counters are atomics. `Clone` clones the underlying model
-/// with a fresh, empty cache.
+/// here), and counters are atomics. A poisoned memo lock is recovered:
+/// each update is one `HashMap` insert of a pure value, so the table is
+/// valid whatever a panicking holder was doing. `Clone` clones the
+/// underlying model with a fresh, empty cache.
 ///
 /// # Example
 ///
@@ -121,7 +123,7 @@ impl CachedSoc {
 
     fn lookup(&self, q: Quantity, vdd: f64, eval: impl Fn(&SocEnergyModel, f64) -> f64) -> f64 {
         let (key, v_eval) = Self::quantize(vdd);
-        if let Some(&v) = self.memo.lock().expect("cache poisoned").get(&(q, key)) {
+        if let Some(&v) = self.memo.lock().unwrap_or_else(PoisonError::into_inner).get(&(q, key)) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             ntc_obs::counter_add("memcalc.cache.hit", 1);
             return v;
@@ -132,7 +134,7 @@ impl CachedSoc {
         let v = eval(&self.model, v_eval);
         self.misses.fetch_add(1, Ordering::Relaxed);
         ntc_obs::counter_add("memcalc.cache.miss", 1);
-        self.memo.lock().expect("cache poisoned").insert((q, key), v);
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner).insert((q, key), v);
         v
     }
 
@@ -165,7 +167,7 @@ impl CachedSoc {
 
     /// Number of memoized entries.
     pub fn len(&self) -> usize {
-        self.memo.lock().expect("cache poisoned").len()
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     /// Whether the memo table is empty.
@@ -180,6 +182,23 @@ mod tests {
 
     fn cached() -> CachedSoc {
         CachedSoc::new(SocEnergyModel::exg_processor_40nm())
+    }
+
+    #[test]
+    fn poisoned_memo_lock_still_answers() {
+        let c = cached();
+        let want = c.f_max(0.45);
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _guard = c.memo.lock();
+                panic!("deliberate panic while holding the memo lock");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(c.memo.is_poisoned());
+        assert_eq!(c.f_max(0.45).to_bits(), want.to_bits());
+        assert!(c.energy_per_cycle(0.5) > 0.0);
+        assert_eq!(c.len(), 2);
     }
 
     #[test]

@@ -31,7 +31,7 @@
 
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use ntc::api::{self, ErrorBody, OptimizeRequest, OptimizeResponse, QueryRequest, RunRequest};
 use ntc::artifact::json::{parse, JsonValue};
@@ -90,6 +90,11 @@ impl<K: Eq + Hash + Copy, V: Clone> BoundedMemo<K, V> {
 }
 
 /// Shared, thread-safe state behind all worker shards.
+///
+/// The memo locks recover a poisoned guard: every [`BoundedMemo`]
+/// update leaves a valid map at each step (at worst one entry is
+/// missing), so a panic while a lock is held must not fail every later
+/// `/v1/run` or `/v1/optimize`.
 #[derive(Debug)]
 pub struct ServerState {
     /// The memoized paper models `/v1/query` evaluates against.
@@ -132,7 +137,7 @@ impl ServerState {
     /// `serve.run.computed`).
     fn run_memoized(&self, id: ExperimentId, scale: Scale, seed: u64) -> Artifact {
         let key = (id, scale, seed);
-        if let Some(done) = self.run_memo.lock().expect("run memo lock").get(&key) {
+        if let Some(done) = self.run_memo.lock().unwrap_or_else(PoisonError::into_inner).get(&key) {
             ntc_obs::counter_add("serve.run.memo_hit", 1);
             return done;
         }
@@ -142,7 +147,7 @@ impl ServerState {
                 if let Ok(artifact) = Artifact::from_json(&json) {
                     self.run_memo
                         .lock()
-                        .expect("run memo lock")
+                        .unwrap_or_else(PoisonError::into_inner)
                         .insert(key, artifact.clone());
                     return artifact;
                 }
@@ -157,7 +162,7 @@ impl ServerState {
         }
         self.run_memo
             .lock()
-            .expect("run memo lock")
+            .unwrap_or_else(PoisonError::into_inner)
             .insert(key, artifact.clone());
         artifact
     }
@@ -172,7 +177,7 @@ impl ServerState {
         if let Some(body) = self
             .optimize_memo
             .lock()
-            .expect("optimize memo lock")
+            .unwrap_or_else(PoisonError::into_inner)
             .get(&hash)
         {
             ntc_obs::counter_add("serve.optimize.memo_hit", 1);
@@ -190,7 +195,7 @@ impl ServerState {
                 if OptimizeResponse::from_json(&body).is_ok_and(|r| r.request_hash == hex) {
                     self.optimize_memo
                         .lock()
-                        .expect("optimize memo lock")
+                        .unwrap_or_else(PoisonError::into_inner)
                         .insert(hash, body.clone());
                     return body;
                 }
@@ -203,7 +208,7 @@ impl ServerState {
         }
         self.optimize_memo
             .lock()
-            .expect("optimize memo lock")
+            .unwrap_or_else(PoisonError::into_inner)
             .insert(hash, body.clone());
         body
     }
@@ -815,6 +820,39 @@ mod tests {
         off.insert(key(9), artifact);
         assert!(off.get(&key(9)).is_none());
         assert_eq!(evictions.get(), before + 1);
+    }
+
+    /// Poisons `lock` by panicking in a thread that holds it.
+    fn poison<T: Send>(lock: &Mutex<T>) {
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _guard = lock.lock();
+                panic!("deliberate panic while holding the lock");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(lock.is_poisoned());
+    }
+
+    #[test]
+    fn poisoned_memo_locks_still_serve_run_and_optimize() {
+        let _g = run_locked();
+        let state = ServerState::new(2014);
+        poison(&state.run_memo);
+        poison(&state.optimize_memo);
+        let run = post("/v1/run", r#"{"id":"table2","scale":"quick"}"#);
+        let optimize = post(
+            "/v1/optimize",
+            r#"{"constraints":{"frequency_hz":290e3},
+                "space":{"banks":[1],"words":[2048],"cells":["cell_based_aoi"],
+                         "schemes":["ocean"]},"restarts":1}"#,
+        );
+        for req in [&run, &optimize] {
+            let (status, first) = call(req, &state);
+            assert_eq!(status, 200, "{}: {first}", req.path);
+            // The second call goes through the recovered memo.
+            assert_eq!(call(req, &state), (200, first), "{}", req.path);
+        }
     }
 
     #[test]

@@ -88,6 +88,14 @@ pub fn eval(query: &QueryRequest, models: &Models) -> Result<QueryResponse, NtcE
             Ok(QueryResponse::Ber { id, law, memory, vdd, p_bit: p })
         }
         QueryKind::Vmin { scheme, memory, fit_target, frequency_hz, grid } => {
+            // Parsing rejects this too, but a hand-built request can carry
+            // any value, and `FitSolver::new` asserts the range.
+            if !(fit_target > 0.0 && fit_target < 1.0) {
+                return Err(NtcError::invalid_param(
+                    "fit_target",
+                    format!("must be in (0, 1), got {fit_target}"),
+                ));
+            }
             let solver = FitSolver::new(access_law(memory)?, fit_target).with_grid(grid);
             let max_p_bit = solver.max_p_bit(scheme);
             let (error_constrained, performance_constrained, operating) = match frequency_hz {
@@ -289,6 +297,26 @@ mod tests {
             let err = eval(&query, &models()).unwrap_err();
             assert_eq!(err.kind(), "invalid_param", "{query:?}");
             assert!(err.to_string().contains("cell_based_65nm"), "{err}");
+        }
+    }
+
+    #[test]
+    fn hand_built_out_of_range_fit_targets_are_client_errors() {
+        use ntc::fit::{Scheme, VoltageGrid};
+        for fit_target in [0.0, -1e-15, 1.0, 2.0, f64::NAN] {
+            let query = QueryRequest {
+                id: None,
+                kind: QueryKind::Vmin {
+                    scheme: Scheme::Ocean,
+                    memory: Memory::CellBased40,
+                    fit_target,
+                    frequency_hz: None,
+                    grid: VoltageGrid::PaperGrid,
+                },
+            };
+            let err = eval(&query, &models()).unwrap_err();
+            assert_eq!(err.kind(), "invalid_param", "{fit_target}");
+            assert!(err.to_string().contains("(0, 1)"), "{err}");
         }
     }
 
