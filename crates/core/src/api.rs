@@ -4,7 +4,10 @@
 //! `ntc-serve` handlers, the `repro` subcommands, the load generator —
 //! is built from the types in this one module, so the wire format cannot
 //! drift between producers: a body is always serialized by the same
-//! `to_json_value()` and parsed by the same `from_json_value()`.
+//! `to_json_value()` and parsed by the same `from_json_value()`. The
+//! one hot encoder, [`QueryResponse::write_compact`], streams the bytes
+//! of its `to_json_value()` without the tree, and a property test holds
+//! the two equal.
 //!
 //! The DTOs are:
 //!
@@ -24,7 +27,7 @@
 //! `GET /v1/api`; the serve e2e suite drives every row, so the listing
 //! cannot drift from the handlers.
 
-use crate::artifact::json::JsonValue;
+use crate::artifact::json::{write_num, write_str, JsonValue};
 use crate::error::NtcError;
 use crate::fit::{Scheme, VoltageGrid};
 use crate::repro::Scale;
@@ -630,16 +633,20 @@ pub enum QueryResponse {
 }
 
 impl QueryResponse {
+    /// The echoed client id.
+    fn id(&self) -> Option<&str> {
+        match self {
+            QueryResponse::Ber { id, .. }
+            | QueryResponse::Vmin { id, .. }
+            | QueryResponse::Energy { id, .. } => id.as_deref(),
+        }
+    }
+
     /// Serializes the response item in the frozen field order.
     pub fn to_json_value(&self) -> JsonValue {
         let mut fields: Vec<(String, JsonValue)> = Vec::new();
-        let id = match self {
-            QueryResponse::Ber { id, .. }
-            | QueryResponse::Vmin { id, .. }
-            | QueryResponse::Energy { id, .. } => id,
-        };
-        if let Some(id) = id {
-            fields.push(("id".into(), JsonValue::Str(id.clone())));
+        if let Some(id) = self.id() {
+            fields.push(("id".into(), JsonValue::Str(id.to_string())));
         }
         match self {
             QueryResponse::Ber { law, memory, vdd, p_bit, .. } => {
@@ -698,6 +705,82 @@ impl QueryResponse {
             }
         }
         JsonValue::Obj(fields)
+    }
+
+    /// Appends the compact serialization to `out`: the bytes of
+    /// `self.to_json_value().write_compact(out)`, written straight into
+    /// the buffer instead of through a tree of owned keys and values.
+    pub fn write_compact(&self, out: &mut String) {
+        fn num(out: &mut String, key: &str, v: f64) {
+            out.push_str(key);
+            write_num(out, v);
+        }
+        fn name(out: &mut String, key: &str, v: &str) {
+            out.push_str(key);
+            write_str(out, v);
+        }
+        out.push('{');
+        if let Some(id) = self.id() {
+            name(out, "\"id\":", id);
+            out.push(',');
+        }
+        match self {
+            QueryResponse::Ber { law, memory, vdd, p_bit, .. } => {
+                out.push_str("\"kind\":\"ber\"");
+                name(out, ",\"law\":", law.as_str());
+                name(out, ",\"memory\":", memory.as_str());
+                num(out, ",\"vdd\":", *vdd);
+                num(out, ",\"p_bit\":", *p_bit);
+            }
+            QueryResponse::Vmin {
+                scheme,
+                memory,
+                fit_target,
+                max_p_bit,
+                frequency_hz,
+                error_constrained,
+                performance_constrained,
+                operating,
+                ..
+            } => {
+                out.push_str("\"kind\":\"vmin\"");
+                name(out, ",\"scheme\":", scheme_str(*scheme));
+                name(out, ",\"memory\":", memory.as_str());
+                num(out, ",\"fit_target\":", *fit_target);
+                num(out, ",\"max_p_bit\":", *max_p_bit);
+                if let Some(f) = frequency_hz {
+                    num(out, ",\"frequency_hz\":", *f);
+                }
+                num(out, ",\"error_constrained\":", *error_constrained);
+                match performance_constrained {
+                    Some(v) => num(out, ",\"performance_constrained\":", *v),
+                    None => out.push_str(",\"performance_constrained\":null"),
+                }
+                num(out, ",\"operating\":", *operating);
+            }
+            QueryResponse::Energy {
+                model,
+                vdd,
+                f_max_hz,
+                energy_per_cycle_j,
+                total_j,
+                dynamic_j,
+                leakage_j,
+                power_w,
+                ..
+            } => {
+                out.push_str("\"kind\":\"energy\"");
+                name(out, ",\"model\":", model.as_str());
+                num(out, ",\"vdd\":", *vdd);
+                num(out, ",\"f_max_hz\":", *f_max_hz);
+                num(out, ",\"energy_per_cycle_j\":", *energy_per_cycle_j);
+                num(out, ",\"total_j\":", *total_j);
+                num(out, ",\"dynamic_j\":", *dynamic_j);
+                num(out, ",\"leakage_j\":", *leakage_j);
+                num(out, ",\"power_w\":", *power_w);
+            }
+        }
+        out.push('}');
     }
 }
 
@@ -1579,6 +1662,139 @@ mod tests {
         assert_eq!(q.id.as_deref(), Some("q-7"));
         let back = QueryRequest::from_json_value(&parse(&q.to_json()).unwrap()).unwrap();
         assert_eq!(q, back);
+    }
+
+    /// Draws the fields of a [`QueryResponse`] from raw `u64`s, biased
+    /// towards the values whose encoding has a special case: absent or
+    /// escape-heavy ids, non-finite and signed-zero numbers, absent
+    /// optionals.
+    struct Draws(std::vec::IntoIter<u64>);
+
+    impl Draws {
+        fn next(&mut self) -> u64 {
+            self.0.next().expect("enough raw draws for one case")
+        }
+
+        fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+            from[(self.next() % from.len() as u64) as usize]
+        }
+
+        fn num(&mut self) -> f64 {
+            let specials = [
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                0.0,
+                -0.0,
+                1e-15,
+                0.33,
+                f64::MIN_POSITIVE,
+                f64::MAX,
+                -2.5e-7,
+            ];
+            let r = self.next();
+            // Half the draws are arbitrary bit patterns (NaN payloads
+            // and subnormals included).
+            if r.is_multiple_of(2) {
+                f64::from_bits(self.next())
+            } else {
+                specials[(r / 2 % specials.len() as u64) as usize]
+            }
+        }
+
+        fn maybe_num(&mut self) -> Option<f64> {
+            if self.next().is_multiple_of(3) {
+                None
+            } else {
+                Some(self.num())
+            }
+        }
+
+        fn id(&mut self) -> Option<String> {
+            let alphabet = [
+                'a', 'Z', '7', '-', '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}',
+                'µ', 'ü', '✓', '😀',
+            ];
+            match self.next() % 4 {
+                0 => None,
+                1 => Some(String::new()),
+                _ => {
+                    let len = self.next() % 12;
+                    Some((0..len).map(|_| self.pick(&alphabet)).collect())
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The streaming encoder writes exactly the tree encoder's bytes
+        /// for every variant, id and numeric edge case.
+        #[test]
+        fn query_response_write_compact_matches_the_tree(
+            raw in proptest::collection::vec(proptest::prelude::any::<u64>(), 96)
+        ) {
+            let mut d = Draws(raw.into_iter());
+            let responses = [
+                QueryResponse::Ber {
+                    id: d.id(),
+                    law: d.pick(&[LawKind::Access, LawKind::Retention]),
+                    memory: d.pick(&[Memory::Commercial40, Memory::CellBased40, Memory::CellBased65]),
+                    vdd: d.num(),
+                    p_bit: d.num(),
+                },
+                QueryResponse::Vmin {
+                    id: d.id(),
+                    scheme: d.pick(&Scheme::ALL),
+                    memory: d.pick(&[Memory::Commercial40, Memory::CellBased40]),
+                    fit_target: d.num(),
+                    max_p_bit: d.num(),
+                    frequency_hz: d.maybe_num(),
+                    error_constrained: d.num(),
+                    performance_constrained: d.maybe_num(),
+                    operating: d.num(),
+                },
+                QueryResponse::Energy {
+                    id: d.id(),
+                    model: d.pick(&[EnergyModel::Cots40, EnergyModel::CellBased40]),
+                    vdd: d.num(),
+                    f_max_hz: d.num(),
+                    energy_per_cycle_j: d.num(),
+                    total_j: d.num(),
+                    dynamic_j: d.num(),
+                    leakage_j: d.num(),
+                    power_w: d.num(),
+                },
+            ];
+            for r in &responses {
+                let mut tree = String::new();
+                r.to_json_value().write_compact(&mut tree);
+                // Appending must not disturb what the buffer held.
+                let mut streamed = String::from("[");
+                r.write_compact(&mut streamed);
+                proptest::prop_assert_eq!(&streamed[1..], tree.as_str());
+            }
+        }
+    }
+
+    #[test]
+    fn query_response_write_compact_pins_the_wire_layout() {
+        let r = QueryResponse::Vmin {
+            id: Some("a\"b".into()),
+            scheme: Scheme::Ocean,
+            memory: Memory::CellBased40,
+            fit_target: 1e-15,
+            max_p_bit: f64::NAN,
+            frequency_hz: None,
+            error_constrained: f64::INFINITY,
+            performance_constrained: None,
+            operating: -0.0,
+        };
+        let mut out = String::new();
+        r.write_compact(&mut out);
+        assert_eq!(
+            out,
+            r#"{"id":"a\"b","kind":"vmin","scheme":"ocean","memory":"cell_based_40nm","fit_target":0.000000000000001,"max_p_bit":"NaN","error_constrained":"inf","performance_constrained":null,"operating":-0}"#
+        );
     }
 
     #[test]

@@ -39,14 +39,9 @@ impl JsonValue {
     /// Encodes an `f64`, mapping non-finite values to marker strings so
     /// every value survives the trip through JSON.
     pub fn num(v: f64) -> JsonValue {
-        if v.is_finite() {
-            JsonValue::Num(v)
-        } else if v.is_nan() {
-            JsonValue::Str("NaN".to_string())
-        } else if v > 0.0 {
-            JsonValue::Str("inf".to_string())
-        } else {
-            JsonValue::Str("-inf".to_string())
+        match non_finite_marker(v) {
+            None => JsonValue::Num(v),
+            Some(marker) => JsonValue::Str(marker.to_string()),
         }
     }
 
@@ -99,7 +94,7 @@ impl JsonValue {
                 debug_assert!(v.is_finite(), "use JsonValue::num for non-finite values");
                 write!(out, "{v}").expect("writing to a String cannot fail");
             }
-            JsonValue::Str(s) => write_escaped(out, s),
+            JsonValue::Str(s) => write_str(out, s),
             JsonValue::Arr(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -142,7 +137,7 @@ impl JsonValue {
                 out.push_str("{\n");
                 for (i, (k, v)) in fields.iter().enumerate() {
                     indent(out, depth + 1);
-                    write_escaped(out, k);
+                    write_str(out, k);
                     out.push_str(": ");
                     v.write_pretty(out, depth + 1);
                     if i + 1 < fields.len() {
@@ -162,7 +157,7 @@ impl JsonValue {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             JsonValue::Num(v) => write!(out, "{v}").expect("writing to a String cannot fail"),
-            JsonValue::Str(s) => write_escaped(out, s),
+            JsonValue::Str(s) => write_str(out, s),
             JsonValue::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -179,7 +174,7 @@ impl JsonValue {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(out, k);
+                    write_str(out, k);
                     out.push(':');
                     v.write_compact(out);
                 }
@@ -203,7 +198,33 @@ fn indent(out: &mut String, depth: usize) {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// The marker string [`JsonValue::num`] encodes a non-finite value as,
+/// or `None` for a finite one.
+fn non_finite_marker(v: f64) -> Option<&'static str> {
+    if v.is_finite() {
+        None
+    } else if v.is_nan() {
+        Some("NaN")
+    } else if v > 0.0 {
+        Some("inf")
+    } else {
+        Some("-inf")
+    }
+}
+
+/// Writes `v` exactly as `JsonValue::num(v).write_compact` would: the
+/// shortest round-trip number, or its non-finite marker string. For
+/// encoders that stream into a buffer without building a tree.
+pub fn write_num(out: &mut String, v: f64) {
+    match non_finite_marker(v) {
+        None => write!(out, "{v}").expect("writing to a String cannot fail"),
+        Some(marker) => write_str(out, marker),
+    }
+}
+
+/// Writes `s` as a quoted JSON string with the mandatory escapes, the
+/// bytes `JsonValue::Str(s)` is written as.
+pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -332,7 +353,21 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     expect(bytes, pos, b'"')?;
-    let mut out = Vec::new();
+    let start = *pos;
+    let Some(n) = bytes[start..].iter().position(|&b| b == b'"' || b == b'\\') else {
+        return Err(err("unterminated string", bytes.len()));
+    };
+    let run = &bytes[start..start + n];
+    *pos = start + n;
+    if bytes[*pos] == b'"' {
+        // No escape before the closing quote: copy the run once.
+        *pos += 1;
+        return std::str::from_utf8(run)
+            .map(str::to_owned)
+            .map_err(|_| err("invalid UTF-8", *pos));
+    }
+    let mut out = Vec::with_capacity(n + 16);
+    out.extend_from_slice(run);
     loop {
         match bytes.get(*pos) {
             None => return Err(err("unterminated string", *pos)),
@@ -451,6 +486,13 @@ mod tests {
             JsonValue::Num(1.0000000000000002),
             JsonValue::Str("he said \"µW\"\n".to_string()),
             JsonValue::Str("bell\u{7}\u{1f}".to_string()),
+            // Escapes at the start, middle and end of a string, around
+            // runs the parser copies in one piece.
+            JsonValue::Str("\"leading quote".to_string()),
+            JsonValue::Str("mid\\dle µ/ tab\there".to_string()),
+            JsonValue::Str("trailing newline\n".to_string()),
+            JsonValue::Str("\u{1}".to_string()),
+            JsonValue::Str(String::new()),
         ] {
             assert_eq!(round_trip(&v), v);
         }
@@ -526,6 +568,22 @@ mod tests {
         let e = parse("[1, x]").unwrap_err();
         assert!(e.offset > 0);
         assert!(!e.to_string().is_empty());
+
+        // String errors: the message and the exact byte offset.
+        let long = format!("\"{}", "x".repeat(1000));
+        for (text, message, offset) in [
+            ("\"abc", "unterminated string", 4),
+            (long.as_str(), "unterminated string", 1001),
+            ("\"a\\nbc", "unterminated string", 6),
+            ("\"a\\", "bad escape", 3),
+            ("\"\\q\"", "bad escape", 2),
+            ("\"ab\\q\"", "bad escape", 4),
+            ("\"ab\\n\\u12\"", "bad \\u escape", 6),
+            ("{\"k\\x\":1}", "bad escape", 4),
+        ] {
+            let e = parse(text).unwrap_err();
+            assert_eq!((e.message.as_str(), e.offset), (message, offset), "{text:?}");
+        }
     }
 
     #[test]

@@ -26,6 +26,13 @@
 //! Hit/miss counters are exposed for benches via [`CachedSoc::stats`],
 //! and mirrored into the `ntc-obs` metrics `memcalc.cache.hit` /
 //! `memcalc.cache.miss` when that layer is enabled.
+//!
+//! # Bounded table
+//!
+//! A long-lived server feeds client voltages straight into the memo, so
+//! the table stops growing at [`MEMO_CAP`] entries: past it, a miss is
+//! evaluated and counted but not inserted. The model is pure, so an
+//! uncached answer is bit-identical to the one a cached entry would hold.
 
 use crate::soc::SocEnergyModel;
 use std::collections::HashMap;
@@ -34,6 +41,13 @@ use std::sync::{Mutex, PoisonError};
 
 /// Voltage quantization step for cache keys: 0.05 mV.
 pub const V_QUANTUM: f64 = 0.05e-3;
+
+/// Most entries one [`CachedSoc`] memoizes. The paper grids need a few
+/// hundred; a 45 s open-loop serve benchmark inserts about 21.6k per model.
+pub const MEMO_CAP: usize = 1 << 16;
+
+static HITS: ntc_obs::CounterHandle = ntc_obs::CounterHandle::new("memcalc.cache.hit");
+static MISSES: ntc_obs::CounterHandle = ntc_obs::CounterHandle::new("memcalc.cache.miss");
 
 /// Which model quantity a cache entry holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -125,7 +139,7 @@ impl CachedSoc {
         let (key, v_eval) = Self::quantize(vdd);
         if let Some(&v) = self.memo.lock().unwrap_or_else(PoisonError::into_inner).get(&(q, key)) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            ntc_obs::counter_add("memcalc.cache.hit", 1);
+            HITS.add(1);
             return v;
         }
         // Evaluate outside the lock: concurrent misses on the same key do
@@ -133,8 +147,11 @@ impl CachedSoc {
         // dequantized voltage), so the table stays consistent.
         let v = eval(&self.model, v_eval);
         self.misses.fetch_add(1, Ordering::Relaxed);
-        ntc_obs::counter_add("memcalc.cache.miss", 1);
-        self.memo.lock().unwrap_or_else(PoisonError::into_inner).insert((q, key), v);
+        MISSES.add(1);
+        let mut memo = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
+        if memo.len() < MEMO_CAP {
+            memo.insert((q, key), v);
+        }
         v
     }
 
@@ -245,6 +262,31 @@ mod tests {
         let d = c.clone();
         assert!(d.is_empty());
         assert_eq!(d.stats(), CacheStats { hits: 0, misses: 0 });
+    }
+
+    #[test]
+    fn memo_stops_growing_at_the_cap() {
+        let c = cached();
+        let k0 = 4_000; // 0.2 V
+        let past = 8;
+        for k in k0..k0 + MEMO_CAP as i64 + past {
+            c.f_max(k as f64 * V_QUANTUM);
+        }
+        assert_eq!(c.len(), MEMO_CAP);
+        // Keys past the cap stay uncached: asked again, each is one more
+        // miss, answered by evaluating the model at the dequantized
+        // voltage, bit-identical to the unmemoized model.
+        let before = c.stats();
+        for k in k0 + MEMO_CAP as i64..k0 + MEMO_CAP as i64 + past {
+            let v = k as f64 * V_QUANTUM;
+            assert_eq!(c.f_max(v).to_bits(), c.model().f_max(v).to_bits(), "key {k}");
+        }
+        assert_eq!(c.len(), MEMO_CAP);
+        let after = c.stats();
+        assert_eq!((after.hits, after.misses), (before.hits, before.misses + past as u64));
+        // Keys inserted before the cap still hit.
+        c.f_max(k0 as f64 * V_QUANTUM);
+        assert_eq!(c.stats().hits, after.hits + 1);
     }
 
     #[test]

@@ -14,6 +14,9 @@
 //! relaxed atomic load — no allocation, no locks, no clock reads — so
 //! instrumented hot paths cost near-nothing in ordinary runs, and the
 //! simulation results they produce are *never* affected either way.
+//! While enabled, each by-name helper call locks the registry to find
+//! its instrument; call sites hot enough to notice hold a `static`
+//! [`CounterHandle`], which finds it once.
 //!
 //! # Determinism contract
 //!
@@ -89,8 +92,8 @@ pub fn enable() {
     ENABLED.store(true, Ordering::Relaxed);
 }
 
-/// Turns collection off. Already-registered metrics and recorded spans
-/// are kept until [`reset`]/[`take_spans`] drain them.
+/// Turns collection off. Already-registered metrics are kept for the
+/// life of the process; recorded spans until [`take_spans`] drains them.
 pub fn disable() {
     ENABLED.store(false, Ordering::Relaxed);
 }
@@ -161,6 +164,36 @@ pub fn counter_add(name: &str, n: u64) {
     }
 }
 
+/// A counter named at compile time, for call sites too hot for
+/// [`counter_add`]'s by-name lookup (which takes the registry mutex and
+/// walks the name map on every call).
+///
+/// Declare it as a `static`; the first [`add`](Self::add) while enabled
+/// resolves the registry entry once, and every later one is a single
+/// atomic add. Registry entries are never removed, so a resolved handle
+/// always counts into the instrument snapshots read.
+pub struct CounterHandle {
+    name: &'static str,
+    resolved: OnceLock<Arc<Counter>>,
+}
+
+impl CounterHandle {
+    /// A handle for the counter `name`, unresolved until first used.
+    #[must_use]
+    pub const fn new(name: &'static str) -> Self {
+        Self { name, resolved: OnceLock::new() }
+    }
+
+    /// Adds `n` to the counter; no-op while disabled (nothing is
+    /// registered until the first add while enabled).
+    #[inline]
+    pub fn add(&self, n: u64) {
+        if enabled() {
+            self.resolved.get_or_init(|| counter(self.name)).add(n);
+        }
+    }
+}
+
 /// Sets the gauge `name` to `v`; no-op while disabled.
 #[inline]
 pub fn gauge_set(name: &str, v: f64) {
@@ -195,16 +228,6 @@ pub fn metrics_snapshot() -> MetricsSnapshot {
             })
             .collect(),
     }
-}
-
-/// Clears every registered metric and every recorded span. Collection
-/// stays in whatever enabled state it was.
-pub fn reset() {
-    registry()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .clear();
-    let _ = span::take_spans();
 }
 
 #[cfg(test)]

@@ -3,9 +3,11 @@
 //! Every handler is a pure function of (request, [`ServerState`]) up to
 //! memoization — equal requests produce byte-identical bodies no matter
 //! which worker shard answers, because every payload is rendered
-//! through the artifact layer's deterministic [`JsonValue`] writer and
-//! the memo tables only change *when* a model or experiment is
-//! evaluated, never what it produces.
+//! through the artifact layer's deterministic [`JsonValue`] writer (or,
+//! for `/v1/query`, [`QueryResponse::write_compact`](ntc::api::QueryResponse::write_compact),
+//! which writes the same bytes without the tree) and the memo tables
+//! only change *when* a model or experiment is evaluated, never what it
+//! produces.
 //!
 //! Routes (canonical `/v1` form; the unversioned spellings are served
 //! as deprecated shims that answer identically plus a
@@ -366,6 +368,15 @@ fn handle_run(req: &Request, state: &ServerState) -> (u16, String) {
     (200, compact(&response))
 }
 
+/// Buffer bytes reserved per `/v1/query` item; a response item is
+/// 100–250 bytes.
+const QUERY_ITEM_BYTES: usize = 256;
+
+/// Items a `/v1/query` body is pre-sized for, at most. A 1 MiB request
+/// can list ~350k (failing) items, which must not reserve ~90 MB up
+/// front; a larger batch grows the buffer as it writes.
+const QUERY_PRESIZED_ITEMS: usize = 256;
+
 fn handle_query(req: &Request, state: &ServerState) -> (u16, String) {
     let body = match parse(&req.body) {
         Ok(v) => v,
@@ -373,33 +384,40 @@ fn handle_query(req: &Request, state: &ServerState) -> (u16, String) {
     };
     // Either one query object, or {"queries": [...]} for a batch that
     // shares the memo warm-up across entries.
-    let (batch, items): (bool, Vec<&JsonValue>) = match body.get("queries") {
-        Some(JsonValue::Arr(qs)) => (true, qs.iter().collect()),
+    let (batch, items) = match body.get("queries") {
+        Some(JsonValue::Arr(qs)) => (true, qs.as_slice()),
         Some(_) => {
             return err_response(&NtcError::invalid_param("queries", "expected an array"));
         }
-        None => (false, vec![&body]),
+        None => (false, std::slice::from_ref(&body)),
     };
     if items.is_empty() {
         return err_response(&NtcError::invalid_param("queries", "batch must not be empty"));
     }
-    let mut results = Vec::with_capacity(items.len());
-    for item in items {
+    // Each response item is written straight into the body as soon as it
+    // is evaluated; the first failing item discards the body.
+    let mut out = String::with_capacity(items.len().min(QUERY_PRESIZED_ITEMS) * QUERY_ITEM_BYTES);
+    if batch {
+        out.push_str("{\"results\":[");
+    }
+    for (i, item) in items.iter().enumerate() {
         // The typed response carries each item's correlation `id`
         // through, so every entry of a batched result is attributable.
-        let out = QueryRequest::from_json_value(item).and_then(|q| eval(&q, &state.models));
-        match out {
-            Ok(r) => results.push(r.to_json_value()),
+        match QueryRequest::from_json_value(item).and_then(|q| eval(&q, &state.models)) {
+            Ok(r) => {
+                if i > 0 {
+                    out.push(',');
+                }
+                r.write_compact(&mut out);
+            }
             Err(e) => return err_response(&e),
         }
     }
-    ntc_obs::counter_add("serve.queries", results.len() as u64);
-    let response = if batch {
-        JsonValue::Obj(vec![("results".into(), JsonValue::Arr(results))])
-    } else {
-        results.pop().expect("single query produced a result")
-    };
-    (200, compact(&response))
+    if batch {
+        out.push_str("]}");
+    }
+    ntc_obs::counter_add("serve.queries", items.len() as u64);
+    (200, out)
 }
 
 /// `POST /v1/optimize` — the design-space autotuner. The response is
@@ -910,6 +928,44 @@ mod tests {
         assert_eq!(results[1].get("kind").and_then(JsonValue::as_str), Some("energy"));
         // An item that sent no id gets none back — nothing invented.
         assert_eq!(results[2].get("id"), None);
+    }
+
+    #[test]
+    fn query_bodies_equal_the_tree_rendering() {
+        let state = ServerState::new(2014);
+        let items = [
+            r#"{"id":"q\"1\\ \u0001 µ","kind":"vmin","scheme":"secded","memory":"commercial_40nm"}"#,
+            r#"{"id":"v2","kind":"vmin","scheme":"ocean","frequency_hz":1.96e6,"grid":"exact"}"#,
+            r#"{"kind":"ber","law":"retention","memory":"cell_based_65nm","vdd":0.31}"#,
+            r#"{"id":"","kind":"energy","model":"cell_based_40nm","vdd":0.47,"frequency_hz":1e5}"#,
+            r#"{"kind":"energy","model":"cots_40nm","vdd":0.55}"#,
+        ];
+        // The reference is the tree encoder over the same typed results.
+        let tree = |item: &str| {
+            let q = QueryRequest::from_json_value(&parse(item).unwrap()).unwrap();
+            eval(&q, &state.models).unwrap().to_json_value()
+        };
+        for item in items {
+            assert_eq!(call(&post("/v1/query", item), &state), (200, compact(&tree(item))), "{item}");
+        }
+        let batch = format!("{{\"queries\":[{}]}}", items.join(","));
+        let want = JsonValue::Obj(vec![(
+            "results".into(),
+            JsonValue::Arr(items.iter().map(|i| tree(i)).collect()),
+        )]);
+        assert_eq!(call(&post("/v1/query", &batch), &state), (200, compact(&want)));
+    }
+
+    #[test]
+    fn a_failing_batch_item_answers_its_error_alone() {
+        let state = ServerState::new(2014);
+        let batch = r#"{"queries":[{"kind":"energy","model":"cots_40nm","vdd":0.55},{"kind":"vmin","scheme":"raid5"},{"kind":"warp"}]}"#;
+        let (status, body) = call(&post("/v1/query", batch), &state);
+        assert_eq!(status, 400);
+        let v = parse(&body).unwrap();
+        let kind = v.get("error").and_then(|e| e.get("kind")).and_then(JsonValue::as_str);
+        assert_eq!(kind, Some("invalid_param"), "the first failing item wins: {body}");
+        assert!(body.contains("raid5"), "{body}");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! request's correlation `id` through to the response item — which is
 //! how batched `/v1/query` responses stay attributable per item.
 
-use ntc::api::{EnergyModel, LawKind, Memory, QueryKind, QueryRequest, QueryResponse};
+use ntc::api::{positive, EnergyModel, LawKind, Memory, QueryKind, QueryRequest, QueryResponse};
 use ntc::error::NtcError;
 use ntc::fit::FitSolver;
 use ntc_memcalc::cache::CachedSoc;
@@ -74,6 +74,7 @@ pub fn eval(query: &QueryRequest, models: &Models) -> Result<QueryResponse, NtcE
     let id = query.id.clone();
     match query.kind {
         QueryKind::Ber { law, memory, vdd } => {
+            let vdd = finite_positive("vdd", vdd)?;
             let p = match law {
                 LawKind::Access => access_law(memory)?.p_bit(vdd),
                 LawKind::Retention => {
@@ -96,6 +97,8 @@ pub fn eval(query: &QueryRequest, models: &Models) -> Result<QueryResponse, NtcE
                     format!("must be in (0, 1), got {fit_target}"),
                 ));
             }
+            let frequency_hz =
+                frequency_hz.map(|f| finite_positive("frequency_hz", f)).transpose()?;
             let solver = FitSolver::new(access_law(memory)?, fit_target).with_grid(grid);
             let max_p_bit = solver.max_p_bit(scheme);
             let (error_constrained, performance_constrained, operating) = match frequency_hz {
@@ -130,6 +133,9 @@ pub fn eval(query: &QueryRequest, models: &Models) -> Result<QueryResponse, NtcE
             })
         }
         QueryKind::Energy { model, vdd, frequency_hz } => {
+            let vdd = finite_positive("vdd", vdd)?;
+            let frequency_hz =
+                frequency_hz.map(|f| finite_positive("frequency_hz", f)).transpose()?;
             let cached = match model {
                 EnergyModel::Cots40 => &models.cots,
                 EnergyModel::CellBased40 => &models.cell,
@@ -160,6 +166,18 @@ pub fn eval(query: &QueryRequest, models: &Models) -> Result<QueryResponse, NtcE
                 power_w: point.power_w(),
             })
         }
+    }
+}
+
+/// `v` if it is finite and positive, under the decoder's messages:
+/// [`QueryRequest`]'s fields are public, so a request built directly
+/// can skip the decoder, and the models assert on non-finite or
+/// non-positive inputs.
+fn finite_positive(field: &str, v: f64) -> Result<f64, NtcError> {
+    if v.is_finite() {
+        positive(field, v)
+    } else {
+        Err(NtcError::invalid_param(field, "expected a finite number"))
     }
 }
 
@@ -317,6 +335,47 @@ mod tests {
             let err = eval(&query, &models()).unwrap_err();
             assert_eq!(err.kind(), "invalid_param", "{fit_target}");
             assert!(err.to_string().contains("(0, 1)"), "{err}");
+        }
+    }
+
+    #[test]
+    fn hand_built_non_finite_or_non_positive_inputs_are_client_errors() {
+        use ntc::fit::{Scheme, VoltageGrid};
+        let vmin = |frequency_hz| QueryKind::Vmin {
+            scheme: Scheme::Ocean,
+            memory: Memory::CellBased40,
+            fit_target: 1e-15,
+            frequency_hz: Some(frequency_hz),
+            grid: VoltageGrid::PaperGrid,
+        };
+        let energy = |vdd, frequency_hz| QueryKind::Energy {
+            model: EnergyModel::Cots40,
+            vdd,
+            frequency_hz,
+        };
+        let ber = |law, vdd| QueryKind::Ber { law, memory: Memory::CellBased40, vdd };
+        let mut cases = Vec::new();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            cases.push((vmin(bad), "frequency_hz", "finite"));
+            cases.push((energy(bad, None), "vdd", "finite"));
+            cases.push((energy(0.55, Some(bad)), "frequency_hz", "finite"));
+            cases.push((ber(LawKind::Access, bad), "vdd", "finite"));
+            cases.push((ber(LawKind::Retention, bad), "vdd", "finite"));
+        }
+        for bad in [0.0, -1.0] {
+            cases.push((vmin(bad), "frequency_hz", "positive"));
+            cases.push((energy(bad, None), "vdd", "positive"));
+            cases.push((energy(0.55, Some(bad)), "frequency_hz", "positive"));
+            cases.push((ber(LawKind::Access, bad), "vdd", "positive"));
+            cases.push((ber(LawKind::Retention, bad), "vdd", "positive"));
+        }
+        let m = models();
+        for (kind, field, needle) in cases {
+            let query = QueryRequest { id: None, kind };
+            let err = eval(&query, &m).unwrap_err();
+            assert_eq!(err.kind(), "invalid_param", "{query:?}");
+            let text = err.to_string();
+            assert!(text.contains(field) && text.contains(needle), "{query:?}: {text}");
         }
     }
 

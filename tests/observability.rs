@@ -7,7 +7,7 @@
 //! The obs registry and span collector are process-global and the test
 //! harness runs threads concurrently, so every test here enables the
 //! layer (idempotent), uses snapshots keyed by unique metric names or
-//! span-name filters, and never calls `ntc_obs::reset`/`disable`. Tests
+//! span-name filters, and never calls `ntc_obs::disable`. Tests
 //! that record or drain spans hold [`SPANS`], so one test's drain never
 //! takes another's spans out of the bounded span ring.
 
