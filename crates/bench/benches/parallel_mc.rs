@@ -20,9 +20,9 @@
 //! stream kernel must stay bit-identical to the scalar closure path and
 //! the lane kernel is asserted to be a pure function of its seed.
 //!
-//! Unlike the criterion benches, this harness writes a machine-readable
-//! summary to `BENCH_parallel_mc.json` at the repository root so the
-//! speedups and the identity checks are recorded per run. The committed
+//! The harness writes a machine-readable summary to
+//! `BENCH_parallel_mc.json` at the repository root so the speedups and
+//! the identity checks are recorded per run. The committed
 //! file also carries `floor_samples_per_sec`, a conservative throughput
 //! floor for the headline kernel; running with `NTC_BENCH_SMOKE=1`
 //! re-measures at reduced trials, asserts the measurement has not

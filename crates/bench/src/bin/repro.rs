@@ -1064,7 +1064,7 @@ fn cmd_bench_serve(args: &[String]) -> ExitCode {
     }
 
     // Cache effectiveness, read from /metrics like any other scraper.
-    let metrics = bench_http(load.addr, "GET", "/metrics", "").unwrap_or_default().1;
+    let metrics = bench_http(load.addr, "GET", "/v1/metrics", "").unwrap_or_default().1;
     let parsed = ntc::artifact::json::parse(&metrics).ok();
     let counter = |name: &str| -> f64 {
         parsed

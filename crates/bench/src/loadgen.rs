@@ -29,8 +29,8 @@
 //! comparable bucket for bucket.
 //!
 //! The workload is a deterministic function of the request index: a
-//! configurable fraction of `POST /run` (memoised experiment runs)
-//! mixed into a rotation of `POST /query` model evaluations, so cache
+//! configurable fraction of `POST /v1/run` (memoised experiment runs)
+//! mixed into a rotation of `POST /v1/query` model evaluations, so cache
 //! layers see a realistic mix of hits and misses. 503s are **not**
 //! errors here — they are the server's overload contract working as
 //! designed and are accounted separately.
@@ -61,7 +61,7 @@ pub struct LoadConfig {
     /// this many in-flight requests are delayed and counted as
     /// [`LoadReport::saturated`].
     pub max_clients: usize,
-    /// Every `run_every`-th request is a `POST /run` (0 disables).
+    /// Every `run_every`-th request is a `POST /v1/run` (0 disables).
     pub run_every: usize,
     /// Per-request socket read timeout.
     pub timeout: Duration,

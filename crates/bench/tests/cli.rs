@@ -197,12 +197,12 @@ fn serve_answers_http_on_an_os_assigned_port() {
         text
     };
 
-    let health = request("GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n".into());
+    let health = request("GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n".into());
     assert!(health.starts_with("HTTP/1.1 200"), "{health}");
 
     let body = r#"{"kind":"vmin","scheme":"ocean","frequency_hz":290e3}"#;
     let query = request(format!(
-        "POST /query HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+        "POST /v1/query HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
         body.len()
     ));
     assert!(query.starts_with("HTTP/1.1 200"), "{query}");

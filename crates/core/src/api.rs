@@ -1404,9 +1404,6 @@ pub struct EndpointSpec {
     pub method: &'static str,
     /// Canonical `/v1` path (`{id}` marks a path parameter).
     pub path: &'static str,
-    /// Deprecated unversioned alias, served with a `Deprecation`
-    /// header, if one exists.
-    pub legacy: Option<&'static str>,
     /// Request DTO name, if the endpoint takes a body.
     pub request: Option<&'static str>,
     /// Response DTO name.
@@ -1415,12 +1412,11 @@ pub struct EndpointSpec {
     pub description: &'static str,
 }
 
-/// Every route the server answers, canonical `/v1` form first.
+/// Every route the server answers.
 pub const ENDPOINTS: &[EndpointSpec] = &[
     EndpointSpec {
         method: "GET",
         path: "/v1/api",
-        legacy: None,
         request: None,
         response: "ApiSchema",
         description: "this machine-readable endpoint/DTO listing",
@@ -1428,7 +1424,6 @@ pub const ENDPOINTS: &[EndpointSpec] = &[
     EndpointSpec {
         method: "GET",
         path: "/v1/healthz",
-        legacy: Some("/healthz"),
         request: None,
         response: "Health",
         description: "liveness, worker count, store version",
@@ -1436,7 +1431,6 @@ pub const ENDPOINTS: &[EndpointSpec] = &[
     EndpointSpec {
         method: "GET",
         path: "/v1/metrics",
-        legacy: Some("/metrics"),
         request: None,
         response: "Metrics",
         description: "observability snapshot (json or ?format=prom)",
@@ -1444,7 +1438,6 @@ pub const ENDPOINTS: &[EndpointSpec] = &[
     EndpointSpec {
         method: "GET",
         path: "/v1/progress",
-        legacy: Some("/progress"),
         request: None,
         response: "Progress",
         description: "in-process sweep progress plus store fleet view",
@@ -1452,7 +1445,6 @@ pub const ENDPOINTS: &[EndpointSpec] = &[
     EndpointSpec {
         method: "GET",
         path: "/v1/experiments",
-        legacy: Some("/experiments"),
         request: None,
         response: "ExperimentList",
         description: "the registry: ids, descriptions, paper refs",
@@ -1460,7 +1452,6 @@ pub const ENDPOINTS: &[EndpointSpec] = &[
     EndpointSpec {
         method: "GET",
         path: "/v1/artifact/{id}",
-        legacy: Some("/artifact/{id}"),
         request: None,
         response: "Artifact",
         description: "one experiment artifact (?scale=quick|paper&seed=N)",
@@ -1468,7 +1459,6 @@ pub const ENDPOINTS: &[EndpointSpec] = &[
     EndpointSpec {
         method: "POST",
         path: "/v1/run",
-        legacy: Some("/run"),
         request: Some("RunRequest"),
         response: "RunReply",
         description: "run an experiment, memoized by (id, scale, seed)",
@@ -1476,7 +1466,6 @@ pub const ENDPOINTS: &[EndpointSpec] = &[
     EndpointSpec {
         method: "POST",
         path: "/v1/query",
-        legacy: Some("/query"),
         request: Some("QueryRequest"),
         response: "QueryResponse",
         description: "ber/vmin/energy point lookups, single or batched",
@@ -1484,7 +1473,6 @@ pub const ENDPOINTS: &[EndpointSpec] = &[
     EndpointSpec {
         method: "POST",
         path: "/v1/optimize",
-        legacy: Some("/optimize"),
         request: Some("OptimizeRequest"),
         response: "OptimizeResponse",
         description: "design-space autotuner, memoized by request hash",
@@ -1570,10 +1558,6 @@ pub fn api_schema() -> JsonValue {
             JsonValue::Obj(vec![
                 ("method".into(), JsonValue::Str(e.method.into())),
                 ("path".into(), JsonValue::Str(e.path.into())),
-                (
-                    "legacy".into(),
-                    e.legacy.map_or(JsonValue::Null, |l| JsonValue::Str(l.into())),
-                ),
                 (
                     "request".into(),
                     e.request.map_or(JsonValue::Null, |r| JsonValue::Str(r.into())),
@@ -1903,12 +1887,9 @@ mod tests {
 
     #[test]
     fn endpoint_table_is_consistent() {
-        // Legacy aliases are the path minus the /v1 prefix, and every
-        // request/response DTO naming a request body exists in DTOS.
+        // Every path is versioned, and every request DTO naming a
+        // request body exists in DTOS.
         for e in ENDPOINTS {
-            if let Some(legacy) = e.legacy {
-                assert_eq!(e.path, format!("/v1{legacy}"), "{}", e.path);
-            }
             if let Some(req) = e.request {
                 assert!(DTOS.iter().any(|d| d.name == req), "missing DTO {req}");
             }

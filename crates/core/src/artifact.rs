@@ -17,10 +17,8 @@
 //! bit-equal values emit byte-identical documents regardless of thread
 //! count. [`Artifact::from_json`] parses them back losslessly.
 //!
-//! The vendored `serde` stand-in provides marker-trait derives only (see
-//! `vendor/serde`), so the real byte format lives here; the serde derives
-//! are kept so the types keep satisfying the workspace's C-SERDE bound
-//! when the `serde` feature is on.
+//! The build environment has no registry access, so there is no serde:
+//! the byte format lives here.
 
 use std::fmt;
 
@@ -38,7 +36,6 @@ use json::{JsonError, JsonValue};
 /// the model family only supports a band (`Range`, `AtLeast`, `AtMost` on
 /// the *measured* value).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Band {
     /// Measured must lie within ± the tolerance of the paper value.
     Abs(f64),
@@ -94,7 +91,6 @@ impl fmt::Display for Band {
 
 /// A published paper value with its acceptance band.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PaperRef {
     /// The value the paper publishes (or implies) for this quantity.
     pub paper: f64,
@@ -143,7 +139,6 @@ impl PaperRef {
 
 /// A single named quantity, optionally anchored to the paper.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Scalar {
     /// What the quantity is.
     pub label: String,
@@ -157,7 +152,6 @@ pub struct Scalar {
 
 /// A table column: name plus unit.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Column {
     /// Column name.
     pub name: String,
@@ -179,7 +173,6 @@ impl Column {
 
 /// One table cell.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Cell {
     /// A textual cell (row keys, labels).
     Text(String),
@@ -221,7 +214,6 @@ impl fmt::Display for Cell {
 /// downstream consumers (savings lines, checks, renderers) cannot silently
 /// misreport if row ordering changes.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Table {
     /// Table name.
     pub name: String,
@@ -292,7 +284,6 @@ impl Table {
 
 /// A sampled x/y sweep (one curve of a figure).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Series {
     /// Curve label.
     pub label: String,
@@ -324,7 +315,6 @@ impl Series {
 
 /// One item of an artifact.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Item {
     /// A table.
     Table(Table),
@@ -336,7 +326,6 @@ pub enum Item {
 
 /// An anchored quantity extracted from an artifact, with its verdict.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Check {
     /// Which artifact the anchor came from.
     pub artifact: String,
@@ -461,7 +450,6 @@ impl fmt::Display for Check {
 
 /// The structured result of one experiment.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Artifact {
     /// Registry id of the experiment that produced this artifact.
     pub id: String,

@@ -1,8 +1,7 @@
 //! A minimal deterministic JSON tree: writer and recursive-descent parser.
 //!
-//! The build environment has no registry access, and the vendored `serde`
-//! is a marker-trait stand-in (see `vendor/serde`), so the artifact layer
-//! carries its own byte format. Design constraints, in order:
+//! The build environment has no registry access, so there is no serde and
+//! the artifact layer carries its own byte format. Design constraints, in order:
 //!
 //! 1. **Determinism.** Objects are ordered vectors, not hash maps — the
 //!    writer emits keys in insertion order, every time. Numbers are

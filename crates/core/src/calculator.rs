@@ -16,7 +16,6 @@ use std::fmt;
 
 /// Key figures of merit of one memory instance at one supply point.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FiguresOfMerit {
     /// Supply voltage, volts.
     pub vdd: f64,

@@ -16,7 +16,6 @@ use crate::repro::ExperimentId;
 
 /// The error type of the `ntc` public facade.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum NtcError {
     /// An experiment id did not resolve against the registry. The
     /// `Display` text enumerates every valid id so a typo is

@@ -23,7 +23,6 @@ use std::fmt;
 
 /// A mitigation policy under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MitigationPolicy {
     /// Unprotected scratchpad.
     NoMitigation,
@@ -68,7 +67,6 @@ fn policy_slug(policy: MitigationPolicy) -> &'static str {
 
 /// Power drawn by one platform module at the operating point.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ModulePower {
     /// Module name (`core`, `im`, `sp`, `pm`).
     pub name: String,
@@ -87,7 +85,6 @@ impl ModulePower {
 
 /// Outcome of one mitigation experiment.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ExperimentResult {
     /// The policy that ran.
     pub policy: MitigationPolicy,
@@ -145,7 +142,6 @@ impl fmt::Display for ExperimentResult {
 
 /// The streaming workload an experiment runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Workload {
     /// Radix-2 FFT of the given size (power of two, 8..=1024).
     Fft {
@@ -462,7 +458,6 @@ pub fn figure9_seeded(seed: u64) -> Vec<ExperimentResult> {
 
 /// The abstract's headline ratios, measured on this reproduction.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Headline {
     /// Power saving of OCEAN vs. no mitigation at 290 kHz (paper: ≤ 70 %).
     pub ocean_vs_none_290khz: f64,

@@ -28,7 +28,6 @@ use std::sync::OnceLock;
 
 /// A mitigation scheme, characterized by its per-word correction capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Scheme {
     /// No protection: any bit error is a failure.
     NoMitigation,
@@ -115,7 +114,6 @@ fn round_mv(v: f64) -> f64 {
 
 /// One row of a solved operating-point table.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SolvedVoltage {
     /// The scheme solved for.
     pub scheme: Scheme,

@@ -77,7 +77,6 @@ impl AgingModel {
 
 /// One sample of a lifetime control trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ControlPoint {
     /// Age in years.
     pub years: f64,

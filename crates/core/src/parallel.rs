@@ -22,7 +22,6 @@ use std::fmt;
 
 /// One candidate degree of parallelism.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ParallelPoint {
     /// Number of cores.
     pub cores: u32,

@@ -51,7 +51,6 @@ use ntc_sram::failure::{AccessLaw, RetentionLaw};
 
 /// How much Monte-Carlo work an experiment run may spend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Scale {
     /// Full paper-fidelity sample counts — what `repro run` uses.
     Paper,
@@ -161,17 +160,6 @@ impl RunCtx {
         Self::builder().quick().build()
     }
 
-    /// A context at an explicit scale.
-    pub fn with_scale(scale: Scale) -> Self {
-        Self::builder().scale(scale).build()
-    }
-
-    /// Replaces the input/fault seed (builder style).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// The input/fault seed experiments derive their streams from.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -254,7 +242,6 @@ macro_rules! experiment_registry {
         /// [`FromStr`]/[`fmt::Display`] using the same stable names
         /// artifacts carry (`fig8`, `table2`, `ablation_phases`, …).
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-        #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
         pub enum ExperimentId {
             $(
                 #[doc = concat!("`", $name, "`")]
@@ -331,17 +318,6 @@ impl fmt::Display for ExperimentId {
 /// Every reproduction in the workspace, in paper order.
 pub fn registry() -> Vec<Box<dyn Experiment>> {
     ExperimentId::ALL.iter().map(|&id| find_id(id)).collect()
-}
-
-/// Looks an experiment up by its string id.
-///
-/// Deprecation shim for pre-`ExperimentId` callers: external strings
-/// still resolve, but the `Option` hides *why* a lookup failed. New
-/// code parses an [`ExperimentId`] (whose error lists the valid ids)
-/// and calls the infallible [`find_id`].
-#[deprecated(since = "0.1.0", note = "parse an `ExperimentId` and call `find_id` instead")]
-pub fn find(id: &str) -> Option<Box<dyn Experiment>> {
-    id.parse::<ExperimentId>().ok().map(find_id)
 }
 
 /// The string ids of every registered experiment, in registry order.
@@ -2087,13 +2063,6 @@ mod tests {
         let err = "fig2".parse::<ExperimentId>().unwrap_err();
         assert_eq!(err.kind(), "unknown_experiment");
         assert!(err.to_string().contains("table2"), "{err}");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn string_find_shim_still_resolves() {
-        assert_eq!(find("fig8").expect("shim resolves").id(), ExperimentId::Fig8);
-        assert!(find("not-an-experiment").is_none());
     }
 
     #[test]

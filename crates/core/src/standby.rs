@@ -21,7 +21,6 @@ use std::fmt;
 
 /// One operating point of the standby design space.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StandbyPoint {
     /// Mitigation scheme protecting the sleeping array.
     pub scheme: Scheme,

@@ -10,7 +10,6 @@ use std::fmt;
 
 /// One row of Table 1 (one memory design, scaled to 1k × 32 b).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Table1Row {
     /// Design label as it appears in the paper.
     pub design: String,

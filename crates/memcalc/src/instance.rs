@@ -41,7 +41,6 @@ impl std::error::Error for MacroError {}
 
 /// Logical organization of a memory instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemoryOrganization {
     words: u32,
     bits_per_word: u32,

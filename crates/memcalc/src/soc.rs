@@ -94,7 +94,6 @@ impl SocComponent {
 
 /// Energy-per-cycle breakdown of one component at one operating point.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ComponentEnergy {
     /// Component name.
     pub name: String,
@@ -113,7 +112,6 @@ impl ComponentEnergy {
 
 /// One operating point of the platform sweep.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OperatingPoint {
     /// Supply voltage, volts.
     pub vdd: f64,
@@ -155,7 +153,6 @@ impl OperatingPoint {
 /// distribution of multiple supply voltages) as well as in the backend
 /// (implementing level shifting and multi-voltage timing closure)."
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DualRailOverhead {
     /// Energy per level-shifted memory access, joules (both directions).
     pub level_shifter_j: f64,

@@ -26,7 +26,6 @@ use std::fmt;
 
 /// Recovery granularity of the runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Granularity {
     /// Checkpoint at phase boundaries, roll back whole phases.
     Phase,
@@ -81,13 +80,6 @@ impl OceanConfig {
         self
     }
 
-    /// Overrides the per-phase rollback budget.
-    #[must_use]
-    pub fn with_max_rollbacks(mut self, n: u32) -> Self {
-        self.max_rollbacks_per_phase = n;
-        self
-    }
-
     fn contains(&self, word: usize) -> bool {
         word >= self.region_base && word < self.region_base + self.region_words
     }
@@ -138,7 +130,6 @@ impl std::error::Error for OceanError {}
 
 /// Counters describing what the runtime did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OceanStats {
     /// Phase boundaries crossed.
     pub phases: usize,

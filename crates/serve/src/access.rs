@@ -174,7 +174,7 @@ mod tests {
             req: 7,
             shard: Some(2),
             method: "GET".into(),
-            path: "/healthz".into(),
+            path: "/v1/healthz".into(),
             status: 200,
             queue_wait_ms: 0.125,
             handler_ms: 1.5,
@@ -188,7 +188,7 @@ mod tests {
         let line = record().to_json_line();
         assert!(line.starts_with("{\"t_ns\":"));
         assert!(line.ends_with('}'));
-        assert!(line.contains("\"req\":7,\"shard\":2,\"method\":\"GET\",\"path\":\"/healthz\""));
+        assert!(line.contains("\"req\":7,\"shard\":2,\"method\":\"GET\",\"path\":\"/v1/healthz\""));
         assert!(line.contains("\"status\":200"));
         assert!(line.contains("\"queue_wait_ms\":0.125"));
         assert!(line.contains("\"bytes\":42"));

@@ -9,9 +9,7 @@
 //! only change *when* a model or experiment is evaluated, never what it
 //! produces.
 //!
-//! Routes (canonical `/v1` form; the unversioned spellings are served
-//! as deprecated shims that answer identically plus a
-//! `Deprecation: true` response header):
+//! Routes (every path lives under `/v1`; anything else is a 404):
 //!
 //! | method | path                 | answer                                    |
 //! |--------|----------------------|-------------------------------------------|
@@ -25,8 +23,7 @@
 //! | GET    | `/v1/metrics`        | `ntc-obs` snapshot (`?format=json\|prom`) |
 //! | GET    | `/v1/progress`       | sweep progress: in-process + store fleet  |
 //!
-//! `GET /v1/api` is the only route without a legacy alias — it was born
-//! versioned. Errors are structured: every non-2xx body is
+//! Errors are structured: every non-2xx body is
 //! `{"error":{"kind":..., "message":...}}` with the stable
 //! [`NtcError::kind`] vocabulary, so scripted clients can branch on
 //! `kind` instead of scraping messages.
@@ -220,9 +217,7 @@ impl ServerState {
 /// `/v1/metrics?format=prom` endpoint speaks.
 pub const PROM_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
 
-/// A routed response: status, body, the content type to frame it with,
-/// and whether it was served through a deprecated unversioned path
-/// (surfaced to the client as a `Deprecation: true` response header).
+/// A routed response: status, body and the content type to frame it with.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Reply {
     /// HTTP status code.
@@ -231,46 +226,38 @@ pub struct Reply {
     pub content_type: &'static str,
     /// Response body.
     pub body: String,
-    /// Whether the request came through a legacy (pre-`/v1`) path.
-    pub deprecated: bool,
 }
 
 impl Reply {
     /// A JSON reply (the default for every route).
     #[must_use]
     pub fn json(status: u16, body: String) -> Reply {
-        Reply { status, content_type: "application/json", body, deprecated: false }
+        Reply { status, content_type: "application/json", body }
     }
 }
 
-/// Splits the `/v1` version prefix off a request path: returns the
-/// canonical route spelling plus whether the original spelling was the
-/// deprecated unversioned alias.
-fn canonical_path(path: &str) -> (&str, bool) {
-    match path.strip_prefix("/v1") {
-        Some(rest) if rest.starts_with('/') => (rest, false),
-        _ => (path, true),
-    }
+/// Splits the `/v1` version prefix off a request path, returning the
+/// route it names; `None` for a path outside `/v1`.
+fn versioned(path: &str) -> Option<&str> {
+    path.strip_prefix("/v1").filter(|rest| rest.starts_with('/'))
 }
 
 /// The bounded per-route label a path maps to, used in
 /// `serve.route.<label>.*` metric names. A fixed vocabulary — paths
 /// never reach metric names, so an attacker spraying random URLs
-/// cannot explode the registry. `/v1` and legacy spellings share one
-/// label: they are the same route.
+/// cannot explode the registry.
 #[must_use]
 pub fn route_label(path: &str) -> &'static str {
-    let (canon, _) = canonical_path(path);
-    match canon {
-        "/healthz" => "healthz",
-        "/metrics" => "metrics",
-        "/progress" => "progress",
-        "/experiments" => "experiments",
-        "/run" => "run",
-        "/query" => "query",
-        "/optimize" => "optimize",
-        "/api" => "api",
-        p if p.starts_with("/artifact/") => "artifact",
+    match versioned(path) {
+        Some("/healthz") => "healthz",
+        Some("/metrics") => "metrics",
+        Some("/progress") => "progress",
+        Some("/experiments") => "experiments",
+        Some("/run") => "run",
+        Some("/query") => "query",
+        Some("/optimize") => "optimize",
+        Some("/api") => "api",
+        Some(p) if p.starts_with("/artifact/") => "artifact",
         _ => "other",
     }
 }
@@ -331,8 +318,8 @@ fn handle_experiments() -> (u16, String) {
 /// with [`Artifact::to_json`], i.e. byte-identical to
 /// `repro run {id} --format json`. This is what lets a served artifact
 /// be `cmp`'d against `baselines/` or fed to `repro diff` unchanged.
-fn handle_artifact(req: &Request, canon: &str, state: &ServerState) -> (u16, String) {
-    let id = match canon.trim_start_matches("/artifact/").parse::<ExperimentId>() {
+fn handle_artifact(req: &Request, route: &str, state: &ServerState) -> (u16, String) {
+    let id = match route.trim_start_matches("/artifact/").parse::<ExperimentId>() {
         Ok(id) => id,
         Err(e) => return err_response(&e),
     };
@@ -455,7 +442,6 @@ fn handle_metrics(req: &Request, state: &ServerState) -> Reply {
             status: 200,
             content_type: PROM_CONTENT_TYPE,
             body: ntc_obs::metrics_prom(&ntc_obs::metrics_snapshot()),
-            deprecated: false,
         },
         Some(other) => Reply::json(
             400,
@@ -540,17 +526,15 @@ fn healthz_body() -> String {
     format!(r#"{{"ok":true,"version":"{}"}}"#, ntc::store::store_version())
 }
 
-/// Routes one framed request to its handler. Canonical `/v1` paths and
-/// their unversioned legacy aliases dispatch identically; a reply
-/// served through a legacy alias is flagged [`Reply::deprecated`] so
-/// the response framing adds the `Deprecation` header.
+/// Routes one framed request to its handler. A path outside `/v1`, or
+/// one naming no route, is a 404; a known route under the wrong method
+/// is a 405.
 pub fn handle(req: &Request, state: &ServerState) -> Reply {
-    let (canon, legacy) = canonical_path(&req.path);
-    let mut known = true;
-    let mut reply = match (req.method.as_str(), canon) {
-        // `/v1/api` was born versioned: no legacy alias exists, so the
-        // unversioned spelling falls through to 404 below.
-        ("GET", "/api") if !legacy => Reply::json(200, compact(&api::api_schema())),
+    let Some(route) = versioned(&req.path) else {
+        return not_found(req);
+    };
+    match (req.method.as_str(), route) {
+        ("GET", "/api") => Reply::json(200, compact(&api::api_schema())),
         ("GET", "/healthz") => Reply::json(200, healthz_body()),
         ("GET", "/metrics") => handle_metrics(req, state),
         ("GET", "/progress") => {
@@ -562,7 +546,7 @@ pub fn handle(req: &Request, state: &ServerState) -> Reply {
             Reply::json(status, body)
         }
         ("GET", p) if p.starts_with("/artifact/") => {
-            let (status, body) = handle_artifact(req, canon, state);
+            let (status, body) = handle_artifact(req, route, state);
             Reply::json(status, body)
         }
         ("POST", "/run") => {
@@ -577,32 +561,16 @@ pub fn handle(req: &Request, state: &ServerState) -> Reply {
             let (status, body) = handle_optimize(req, state);
             Reply::json(status, body)
         }
-        (
-            _,
-            "/experiments" | "/metrics" | "/healthz" | "/run" | "/query" | "/progress"
-            | "/optimize",
-        ) => Reply::json(
+        _ if route_label(&req.path) != "other" => Reply::json(
             405,
             error_body("unsupported", &format!("{} not allowed here", req.method)),
         ),
-        (_, "/api") if !legacy => Reply::json(
-            405,
-            error_body("unsupported", &format!("{} not allowed here", req.method)),
-        ),
-        (_, p) if p.starts_with("/artifact/") => Reply::json(
-            405,
-            error_body("unsupported", &format!("{} not allowed here", req.method)),
-        ),
-        _ => {
-            known = false;
-            Reply::json(404, error_body("unsupported", &format!("no route for {}", req.path)))
-        }
-    };
-    reply.deprecated = legacy && known;
-    if reply.deprecated {
-        ntc_obs::counter_add("serve.deprecated_path", 1);
+        _ => not_found(req),
     }
-    reply
+}
+
+fn not_found(req: &Request) -> Reply {
+    Reply::json(404, error_body("unsupported", &format!("no route for {}", req.path)))
 }
 
 #[cfg(test)]
@@ -658,22 +626,22 @@ mod tests {
     }
 
     #[test]
-    fn legacy_paths_answer_identically_with_the_deprecation_flag() {
+    fn unversioned_paths_are_unsupported_404s() {
         let state = ServerState::new(2014);
-        for (canonical, legacy) in
-            [("/v1/healthz", "/healthz"), ("/v1/experiments", "/experiments")]
+        for (canonical, bare) in [("/v1/healthz", "/healthz"), ("/v1/experiments", "/experiments")]
         {
-            let v1 = handle(&get(canonical), &state);
-            let shim = handle(&get(legacy), &state);
-            assert_eq!(v1.status, 200);
-            assert_eq!(v1.body, shim.body, "{legacy} must answer byte-identically");
-            assert!(!v1.deprecated, "{canonical} is the canonical spelling");
-            assert!(shim.deprecated, "{legacy} must be flagged deprecated");
+            assert_eq!(call(&get(canonical), &state).0, 200, "{canonical}");
+            let (status, body) = call(&get(bare), &state);
+            assert_eq!(status, 404, "{bare} is not a route");
+            let v = parse(&body).unwrap();
+            let kind = v.get("error").and_then(|e| e.get("kind")).and_then(JsonValue::as_str);
+            assert_eq!(kind, Some("unsupported"), "{bare}: {body}");
         }
-        // Unknown paths are 404, not "deprecated 404".
+        // A former alias answers exactly as an unknown path does.
         let missing = handle(&get("/nope"), &state);
-        assert_eq!(missing.status, 404);
-        assert!(!missing.deprecated);
+        let alias = handle(&get("/healthz"), &state);
+        assert_eq!(missing.status, alias.status);
+        assert_eq!(missing.content_type, alias.content_type);
     }
 
     #[test]
@@ -685,7 +653,7 @@ mod tests {
         assert_eq!(v.get("version").and_then(JsonValue::as_str), Some("v1"));
         let endpoints = v.get("endpoints").and_then(JsonValue::as_arr).unwrap();
         assert_eq!(endpoints.len(), api::ENDPOINTS.len());
-        // The schema endpoint was born versioned: no unversioned alias.
+        // Nothing outside `/v1` is routed, the schema included.
         assert_eq!(call(&get("/api"), &state).0, 404);
         assert_eq!(call(&post("/v1/api", ""), &state).0, 405);
     }
@@ -747,7 +715,7 @@ mod tests {
         let computed = ntc_obs::counter("serve.optimize.computed");
         let before = computed.get();
         // Same space, different axis enumeration order: one compute,
-        // two byte-identical answers (one via the legacy shim).
+        // two byte-identical answers.
         let a = post(
             "/v1/optimize",
             r#"{"constraints":{"frequency_hz":290e3},
@@ -755,7 +723,7 @@ mod tests {
                          "schemes":["ocean"]},"restarts":2}"#,
         );
         let b = post(
-            "/optimize",
+            "/v1/optimize",
             r#"{"constraints":{"frequency_hz":290e3},
                 "space":{"banks":[1,2],"words":[2048],"cells":["cell_based_aoi"],
                          "schemes":["ocean"]},"restarts":2}"#,
@@ -766,8 +734,6 @@ mod tests {
         assert_eq!(rb.status, 200);
         assert_eq!(ra.body, rb.body, "axis order must not change the answer");
         assert_eq!(computed.get(), before + 1, "second call hit the memo");
-        assert!(rb.deprecated, "legacy /optimize carries the deprecation flag");
-        assert!(!ra.deprecated);
         let resp = OptimizeResponse::from_json(&ra.body).unwrap();
         assert!(resp.feasible);
         assert_eq!(resp.best.unwrap().vdd, 0.33, "Table 2 ocean point");
@@ -973,10 +939,13 @@ mod tests {
         let state = ServerState::new(2014);
         assert_eq!(call(&get("/nope"), &state).0, 404);
         assert_eq!(call(&get("/v1/nope"), &state).0, 404);
-        assert_eq!(call(&get("/run"), &state).0, 405);
         assert_eq!(call(&get("/v1/run"), &state).0, 405);
         assert_eq!(call(&get("/v1/optimize"), &state).0, 405);
-        assert_eq!(call(&post("/experiments", ""), &state).0, 405);
+        assert_eq!(call(&post("/v1/experiments", ""), &state).0, 405);
+        // Outside `/v1` nothing is routed, whatever the method.
+        assert_eq!(call(&get("/run"), &state).0, 404);
+        assert_eq!(call(&post("/experiments", ""), &state).0, 404);
+        assert_eq!(call(&get("/v1"), &state).0, 404);
     }
 
     #[test]
@@ -1068,19 +1037,21 @@ mod tests {
 
     #[test]
     fn route_labels_are_a_fixed_vocabulary() {
-        assert_eq!(route_label("/healthz"), "healthz");
         assert_eq!(route_label("/v1/healthz"), "healthz");
-        assert_eq!(route_label("/metrics"), "metrics");
-        assert_eq!(route_label("/experiments"), "experiments");
-        assert_eq!(route_label("/run"), "run");
+        assert_eq!(route_label("/v1/metrics"), "metrics");
+        assert_eq!(route_label("/v1/progress"), "progress");
+        assert_eq!(route_label("/v1/experiments"), "experiments");
         assert_eq!(route_label("/v1/run"), "run");
-        assert_eq!(route_label("/query"), "query");
-        assert_eq!(route_label("/optimize"), "optimize");
+        assert_eq!(route_label("/v1/query"), "query");
         assert_eq!(route_label("/v1/optimize"), "optimize");
         assert_eq!(route_label("/v1/api"), "api");
-        assert_eq!(route_label("/artifact/table2"), "artifact");
         assert_eq!(route_label("/v1/artifact/table2"), "artifact");
-        assert_eq!(route_label("/artifact/"), "artifact");
+        assert_eq!(route_label("/v1/artifact/"), "artifact");
+        // Unversioned spellings are not routes.
+        assert_eq!(route_label("/healthz"), "other");
+        assert_eq!(route_label("/query"), "other");
+        assert_eq!(route_label("/artifact/table2"), "other");
+        assert_eq!(route_label("/v1"), "other");
         assert_eq!(route_label("/anything-else"), "other");
         assert_eq!(route_label(""), "other");
     }

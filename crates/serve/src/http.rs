@@ -152,26 +152,17 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes a complete JSON response and flushes. Errors are returned so
-/// the worker can count them, but a dead peer is not fatal to anyone
-/// but itself.
-pub fn write_response(stream: &mut TcpStream, status: u16, body: &str) -> std::io::Result<()> {
-    write_response_full(stream, status, "application/json", None, false, body)
-}
-
 /// Writes a complete response with an explicit content type and, when
 /// present, the request's `X-Request-Id` header — the same id the
 /// request's spans and access-log line carry, so a client can join its
-/// own latency sample to the server-side record. `deprecated` adds a
-/// `Deprecation: true` header — the signal the unversioned legacy
-/// path shims carry so clients can notice they are still on the
-/// pre-`/v1` surface. Head and body go out in one `write_all`.
+/// own latency sample to the server-side record. Head and body go out
+/// in one `write_all`. Errors are returned so the worker can count
+/// them, but a dead peer is not fatal to anyone but itself.
 pub fn write_response_full(
     stream: &mut TcpStream,
     status: u16,
     content_type: &str,
     req_id: Option<u64>,
-    deprecated: bool,
     body: &str,
 ) -> std::io::Result<()> {
     use std::fmt::Write as _;
@@ -186,9 +177,6 @@ pub fn write_response_full(
     );
     if let Some(id) = req_id {
         let _ = write!(out, "X-Request-Id: {id}\r\n");
-    }
-    if deprecated {
-        out.push_str("Deprecation: true\r\n");
     }
     out.push_str("\r\n");
     out.push_str(body);
@@ -327,7 +315,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (mut server_side, _) = listener.accept().unwrap();
-        write_response_full(&mut server_side, 200, "application/json", Some(9), true, "{}")
+        write_response_full(&mut server_side, 200, "application/json", Some(9), "{}")
             .unwrap();
         drop(server_side);
         let mut text = String::new();
@@ -335,7 +323,7 @@ mod tests {
         assert_eq!(
             text,
             "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 2\r\n\
-             Connection: close\r\nX-Request-Id: 9\r\nDeprecation: true\r\n\r\n{}"
+             Connection: close\r\nX-Request-Id: 9\r\n\r\n{}"
         );
     }
 

@@ -5,10 +5,9 @@
 //! `(experiment, seed, scale)`; this crate puts a network front on
 //! them so sweeps, dashboards, and scripted regressions can query the
 //! models without paying a process start (and a cold memo table) per
-//! call. The surface is versioned under `/v1` (the unversioned
-//! spellings still answer, byte-identically, with a
-//! `Deprecation: true` header; `GET /v1/api` publishes the full
-//! machine-readable endpoint/DTO schema):
+//! call. The surface is versioned under `/v1` (any other path is a
+//! 404; `GET /v1/api` publishes the full machine-readable
+//! endpoint/DTO schema):
 //!
 //! * `GET /v1/experiments` — the registry, with descriptions and
 //!   paper references.
@@ -53,7 +52,7 @@
 //! per-route/per-status counters. Overload is explicit:
 //! `serve.rejected_503` counts queue-full bounces,
 //! `serve.rejected_dropped` the bounces closed unanswered, and
-//! `serve.queue_depth` gauges the backlog. `GET /metrics` renders the
+//! `serve.queue_depth` gauges the backlog. `GET /v1/metrics` renders the
 //! snapshot as deterministic JSON or (`?format=prom`) Prometheus text
 //! exposition.
 //!
@@ -333,7 +332,6 @@ fn reject_loop(bounced: &Receiver<Job>, log: Option<&AccessLog>) {
             503,
             "application/json",
             Some(job.req_id),
-            false,
             &body,
         );
         if let Some(log) = log {
@@ -494,7 +492,6 @@ fn serve_connection(
             503,
             "application/json",
             Some(req_id),
-            false,
             &body,
         );
         return unframed(503, body.len());
@@ -528,7 +525,6 @@ fn serve_connection(
                 503,
                 "application/json",
                 Some(req_id),
-                false,
                 &body,
             );
             return unframed(503, body.len());
@@ -543,7 +539,6 @@ fn serve_connection(
         reply.status,
         reply.content_type,
         Some(req_id),
-        reply.deprecated,
         &reply.body,
     );
     let route = if path.is_empty() { "unframed" } else { handlers::route_label(&path) };
@@ -567,7 +562,7 @@ mod tests {
         // Every label the router hands out is in the vocabulary.
         for path in [
             "/v1/healthz",
-            "/metrics",
+            "/v1/metrics",
             "/v1/progress",
             "/v1/experiments",
             "/v1/run",

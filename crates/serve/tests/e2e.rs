@@ -85,7 +85,7 @@ fn list_run_query_flow() {
     let addr = server.addr();
 
     // Liveness first: ok plus the store/format version of this build.
-    let health = get(addr, "/healthz");
+    let health = get(addr, "/v1/healthz");
     assert_eq!(health.status, 200);
     let parsed = parse(&health.body).expect("healthz parses");
     assert_eq!(parsed.get("ok"), Some(&JsonValue::Bool(true)));
@@ -95,7 +95,7 @@ fn list_run_query_flow() {
     );
 
     // List: every registered experiment, with paper references.
-    let list = get(addr, "/experiments");
+    let list = get(addr, "/v1/experiments");
     assert_eq!(list.status, 200);
     let listed = parse(&list.body).expect("listing parses");
     let entries = listed.get("experiments").and_then(JsonValue::as_arr).expect("array");
@@ -107,7 +107,7 @@ fn list_run_query_flow() {
     assert_eq!(table2.get("paper_ref").and_then(JsonValue::as_str), Some("Table 2"));
 
     // Run one of the listed experiments at quick scale.
-    let run = post(addr, "/run", r#"{"id":"table2","scale":"quick"}"#);
+    let run = post(addr, "/v1/run", r#"{"id":"table2","scale":"quick"}"#);
     assert_eq!(run.status, 200);
     let ran = parse(&run.body).expect("run response parses");
     assert_eq!(ran.get("passed"), Some(&JsonValue::Bool(true)));
@@ -118,7 +118,7 @@ fn list_run_query_flow() {
         .is_some_and(|c| !c.is_empty()));
 
     // Query the model the run was built from.
-    let q = post(addr, "/query", r#"{"kind":"vmin","scheme":"ocean","frequency_hz":290e3}"#);
+    let q = post(addr, "/v1/query", r#"{"kind":"vmin","scheme":"ocean","frequency_hz":290e3}"#);
     assert_eq!(q.status, 200);
     let solved = parse(&q.body).expect("query response parses");
     assert_eq!(solved.get("operating").and_then(JsonValue::as_num), Some(0.33));
@@ -129,7 +129,7 @@ fn list_run_query_flow() {
 #[test]
 fn served_artifact_is_byte_identical_to_a_direct_run() {
     let server = quick_server();
-    let got = get(server.addr(), "/artifact/fig6?scale=quick");
+    let got = get(server.addr(), "/v1/artifact/fig6?scale=quick");
     assert_eq!(got.status, 200);
     let ctx = ntc::repro::RunCtx::builder().quick().build();
     let direct = ntc::repro::run_one(
@@ -148,10 +148,10 @@ fn concurrent_identical_queries_get_byte_identical_bodies() {
     // body must be identical down to the byte, whichever worker shard
     // answers and whatever the cache state was when it did.
     let body = r#"{"queries":[{"kind":"energy","model":"cots_40nm","vdd":0.55},{"kind":"vmin","scheme":"secded"},{"kind":"ber","law":"retention","memory":"cell_based_65nm","vdd":0.31}]}"#;
-    let reference = post(addr, "/query", body);
+    let reference = post(addr, "/v1/query", body);
     assert_eq!(reference.status, 200);
     let clients: Vec<_> = (0..32)
-        .map(|_| std::thread::spawn(move || post(addr, "/query", body)))
+        .map(|_| std::thread::spawn(move || post(addr, "/v1/query", body)))
         .collect();
     for client in clients {
         let got = client.join().expect("client thread");
@@ -165,8 +165,8 @@ fn concurrent_identical_queries_get_byte_identical_bodies() {
 fn repeat_runs_are_memoized_and_byte_identical() {
     let server = quick_server();
     let addr = server.addr();
-    let first = post(addr, "/run", r#"{"id":"fig6","scale":"quick"}"#);
-    let second = post(addr, "/run", r#"{"id":"fig6","scale":"quick"}"#);
+    let first = post(addr, "/v1/run", r#"{"id":"fig6","scale":"quick"}"#);
+    let second = post(addr, "/v1/run", r#"{"id":"fig6","scale":"quick"}"#);
     assert_eq!(first.status, 200);
     assert_eq!(first.body, second.body, "memoized rerun changed bytes");
     server.shutdown();
@@ -192,7 +192,7 @@ fn overflowing_the_queue_gets_an_immediate_503() {
     let queued = TcpStream::connect(addr).expect("queued connects");
     std::thread::sleep(Duration::from_millis(300));
 
-    let bounced = get(addr, "/healthz");
+    let bounced = get(addr, "/v1/healthz");
     assert_eq!(bounced.status, 503, "third request must bounce: {}", bounced.body);
     assert_eq!(error_kind(&bounced.body), "overloaded");
 
@@ -249,7 +249,7 @@ fn shutdown_of_an_idle_server_is_prompt() {
 #[test]
 fn malformed_json_is_400_with_a_structured_error() {
     let server = quick_server();
-    let got = post(server.addr(), "/query", "{this is not json");
+    let got = post(server.addr(), "/v1/query", "{this is not json");
     assert_eq!(got.status, 400);
     assert_eq!(error_kind(&got.body), "malformed_json");
     server.shutdown();
@@ -258,7 +258,7 @@ fn malformed_json_is_400_with_a_structured_error() {
 #[test]
 fn unknown_experiment_is_404_and_names_valid_ids() {
     let server = quick_server();
-    let got = post(server.addr(), "/run", r#"{"id":"fig99","scale":"quick"}"#);
+    let got = post(server.addr(), "/v1/run", r#"{"id":"fig99","scale":"quick"}"#);
     assert_eq!(got.status, 404);
     assert_eq!(error_kind(&got.body), "unknown_experiment");
     assert!(got.body.contains("table2"), "valid ids listed: {}", got.body);
@@ -269,7 +269,7 @@ fn unknown_experiment_is_404_and_names_valid_ids() {
 fn invalid_query_params_are_400_with_the_param_named() {
     let server = quick_server();
     let addr = server.addr();
-    let got = post(addr, "/query", r#"{"kind":"vmin","scheme":"ocean","fit_target":7.0}"#);
+    let got = post(addr, "/v1/query", r#"{"kind":"vmin","scheme":"ocean","fit_target":7.0}"#);
     assert_eq!(got.status, 400);
     assert_eq!(error_kind(&got.body), "invalid_param");
     assert!(got.body.contains("fit_target"), "{}", got.body);
@@ -282,7 +282,7 @@ fn graceful_shutdown_completes_queued_work_then_refuses_connections() {
         .expect("bind");
     let addr = server.addr();
     // In-flight request finishes normally...
-    let ok = get(addr, "/healthz");
+    let ok = get(addr, "/v1/healthz");
     assert_eq!(ok.status, 200);
     // ...then shutdown joins the acceptor and every shard.
     server.shutdown();
@@ -306,9 +306,9 @@ fn metrics_report_serve_counters() {
     ntc_obs::enable();
     let server = quick_server();
     let addr = server.addr();
-    let _ = get(addr, "/healthz");
-    let _ = post(addr, "/query", r#"{"kind":"energy","model":"cots_40nm","vdd":0.6}"#);
-    let metrics = get(addr, "/metrics");
+    let _ = get(addr, "/v1/healthz");
+    let _ = post(addr, "/v1/query", r#"{"kind":"energy","model":"cots_40nm","vdd":0.6}"#);
+    let metrics = get(addr, "/v1/metrics");
     assert_eq!(metrics.status, 200);
     for needle in [
         "serve.responses",
@@ -329,8 +329,8 @@ fn metrics_report_serve_counters() {
 fn responses_carry_distinct_request_ids() {
     let server = quick_server();
     let addr = server.addr();
-    let a = get(addr, "/healthz");
-    let b = get(addr, "/healthz");
+    let a = get(addr, "/v1/healthz");
+    let b = get(addr, "/v1/healthz");
     let id_a: u64 = a
         .header("X-Request-Id")
         .and_then(|v| v.parse().ok())
@@ -393,12 +393,12 @@ fn metrics_stay_consistent_under_a_concurrent_hammer() {
                     if i % 2 == 0 {
                         let r = post(
                             addr,
-                            "/query",
+                            "/v1/query",
                             r#"{"kind":"energy","model":"cots_40nm","vdd":0.6}"#,
                         );
                         assert_eq!(r.status, 200);
                     } else {
-                        let r = get(addr, "/healthz");
+                        let r = get(addr, "/v1/healthz");
                         assert_eq!(r.status, 200);
                     }
                 }
@@ -406,12 +406,12 @@ fn metrics_stay_consistent_under_a_concurrent_hammer() {
         })
         .collect();
     for _ in 0..8 {
-        let json = get(addr, "/metrics");
+        let json = get(addr, "/v1/metrics");
         assert_eq!(json.status, 200);
         assert_eq!(json.header("Content-Type"), Some("application/json"));
         assert!(parse(&json.body).is_ok(), "mid-hammer JSON snapshot parses");
 
-        let prom = get(addr, "/metrics?format=prom");
+        let prom = get(addr, "/v1/metrics?format=prom");
         assert_eq!(prom.status, 200);
         assert_eq!(
             prom.header("Content-Type"),
@@ -431,8 +431,8 @@ fn metrics_stay_consistent_under_a_concurrent_hammer() {
     }
     // Quiescent now: two scrapes with no traffic in between must be
     // byte-identical in both formats (deterministic rendering).
-    let j1 = get(addr, "/metrics").body;
-    let j2 = get(addr, "/metrics").body;
+    let j1 = get(addr, "/v1/metrics").body;
+    let j2 = get(addr, "/v1/metrics").body;
     // The /metrics scrape itself advances serve.* counters, so strip
     // volatile serve-layer lines and compare the rest byte-for-byte.
     let stable = |s: &str| -> String {
@@ -454,10 +454,10 @@ fn access_log_records_every_request_off_the_hot_path() {
     })
     .expect("bind with access log");
     let addr = server.addr();
-    let ok = get(addr, "/healthz");
+    let ok = get(addr, "/v1/healthz");
     assert_eq!(ok.status, 200);
     let req_id: u64 = ok.header("X-Request-Id").and_then(|v| v.parse().ok()).expect("id");
-    let q = post(addr, "/query", r#"{"kind":"energy","model":"cots_40nm","vdd":0.6}"#);
+    let q = post(addr, "/v1/query", r#"{"kind":"energy","model":"cots_40nm","vdd":0.6}"#);
     assert_eq!(q.status, 200);
     let missing = get(addr, "/nope");
     assert_eq!(missing.status, 404);
@@ -478,7 +478,7 @@ fn access_log_records_every_request_off_the_hot_path() {
     // The healthz line carries the id the client saw in X-Request-Id.
     let healthz_line = lines
         .iter()
-        .find(|l| l.contains("\"path\":\"/healthz\""))
+        .find(|l| l.contains("\"path\":\"/v1/healthz\""))
         .expect("healthz logged");
     assert!(
         healthz_line.contains(&format!("\"req\":{req_id}")),
@@ -510,14 +510,14 @@ fn store_backed_server_survives_restart_with_identical_answers() {
     let first_body;
     {
         let server = Server::bind(config()).expect("bind with store");
-        let r = post(server.addr(), "/run", r#"{"id":"table1","scale":"quick"}"#);
+        let r = post(server.addr(), "/v1/run", r#"{"id":"table1","scale":"quick"}"#);
         assert_eq!(r.status, 200);
         first_body = r.body;
         server.shutdown();
     }
     {
         let server = Server::bind(config()).expect("rebind over the same store");
-        let r = post(server.addr(), "/run", r#"{"id":"table1","scale":"quick"}"#);
+        let r = post(server.addr(), "/v1/run", r#"{"id":"table1","scale":"quick"}"#);
         assert_eq!(r.status, 200);
         assert_eq!(r.body, first_body, "restarted server serves identical bytes");
         server.shutdown();
@@ -526,40 +526,58 @@ fn store_backed_server_survives_restart_with_identical_answers() {
 }
 
 #[test]
-fn v1_paths_are_canonical_and_legacy_shims_carry_deprecation() {
+fn only_v1_paths_are_routed() {
     let server = quick_server();
     let addr = server.addr();
-    for (canonical, legacy) in [
-        ("/v1/healthz", "/healthz"),
-        ("/v1/experiments", "/experiments"),
-        ("/v1/metrics", "/metrics"),
-        ("/v1/progress", "/progress"),
-    ] {
-        let v1 = get(addr, canonical);
-        let shim = get(addr, legacy);
-        assert_eq!(v1.status, 200, "{canonical}");
-        assert_eq!(shim.status, 200, "{legacy}");
-        assert_eq!(
-            v1.header("Deprecation"),
-            None,
-            "{canonical} is canonical, no Deprecation header"
-        );
-        assert_eq!(
-            shim.header("Deprecation"),
-            Some("true"),
-            "{legacy} is a deprecated shim"
-        );
+    let optimize = r#"{"constraints":{"frequency_hz":290e3},
+        "space":{"banks":[1],"words":[2048],"cells":["cell_based_aoi"],
+                 "schemes":["ocean"]},"restarts":1}"#;
+    let query = r#"{"kind":"vmin","scheme":"ocean","frequency_hz":290e3}"#;
+    let run = r#"{"id":"fig6","scale":"quick"}"#;
+    // (method, route, body): each route with its `/v1` prefix dropped.
+    let routes = [
+        ("GET", "/healthz", ""),
+        ("GET", "/experiments", ""),
+        ("GET", "/metrics", ""),
+        ("GET", "/progress", ""),
+        ("GET", "/artifact/fig6", ""),
+        ("POST", "/query", query),
+        ("POST", "/run", run),
+        ("POST", "/optimize", optimize),
+    ];
+    let send = |method: &str, path: &str, body: &str| match method {
+        "GET" => get(addr, path),
+        _ => post(addr, path, body),
+    };
+    for (method, route, body) in routes {
+        let v1 = send(method, &format!("/v1{route}"), body);
+        assert_eq!(v1.status, 200, "{method} /v1{route}: {}", v1.body);
+        assert_eq!(v1.header("Deprecation"), None, "/v1{route}");
+
+        let bare = send(method, route, body);
+        assert_eq!(bare.status, 404, "{method} {route} is not a route: {}", bare.body);
+        assert_eq!(error_kind(&bare.body), "unsupported", "{route}");
+        assert_eq!(bare.header("Deprecation"), None, "{route}");
     }
-    // Same answer through both spellings, byte for byte.
-    let v1 = post(addr, "/v1/query", r#"{"kind":"vmin","scheme":"ocean","frequency_hz":290e3}"#);
-    let shim = post(addr, "/query", r#"{"kind":"vmin","scheme":"ocean","frequency_hz":290e3}"#);
-    assert_eq!(v1.status, 200);
-    assert_eq!(v1.body, shim.body, "shim answers byte-identically");
-    assert_eq!(shim.header("Deprecation"), Some("true"));
-    // Unknown paths are plain 404s, never "deprecated 404".
-    let missing = get(addr, "/nope");
-    assert_eq!(missing.status, 404);
-    assert_eq!(missing.header("Deprecation"), None);
+    let api = get(addr, "/v1/api");
+    assert_eq!(api.status, 200);
+    assert_eq!(api.header("Deprecation"), None);
+    server.shutdown();
+}
+
+#[test]
+fn v1_query_batch_answers_the_pinned_wire_bytes() {
+    // One fixed batch (an id with escapes, a vmin without frequency_hz,
+    // a ber, an energy) must answer exactly this literal, recorded from
+    // the tree encoder the streaming response writer replaced.
+    // In-process byte checks run that same writer, so only a literal
+    // catches drift.
+    let server = quick_server();
+    let request = r#"{"queries":[{"id":"ci \"1\"\\ \t\u0001µ","kind":"vmin","scheme":"secded"},{"kind":"ber","law":"access","memory":"cell_based_40nm","vdd":0.4},{"id":"e","kind":"energy","model":"cots_40nm","vdd":0.55},{"kind":"vmin","scheme":"ocean","frequency_hz":290e3}]}"#;
+    let expected = r#"{"results":[{"id":"ci \"1\"\\ \t\u0001µ","kind":"vmin","scheme":"secded","memory":"cell_based_40nm","fit_target":0.000000000000001,"max_p_bit":0.000000478302125052063,"error_constrained":0.44001366193062397,"performance_constrained":null,"operating":0.44},{"kind":"ber","law":"access","memory":"cell_based_40nm","vdd":0.4,"p_bit":0.000004466017578150066},{"id":"e","kind":"energy","model":"cots_40nm","vdd":0.55,"f_max_hz":1817609.4961241342,"energy_per_cycle_j":0.00000000003365220252591386,"total_j":0.00000000003365220252591386,"dynamic_j":0.000000000015838842975206607,"leakage_j":0.000000000017813359550707252,"power_w":0.0000611665628765936},{"kind":"vmin","scheme":"ocean","memory":"cell_based_40nm","fit_target":0.000000000000001,"max_p_bit":0.00007048969480262103,"frequency_hz":290000,"error_constrained":0.32995644728622786,"performance_constrained":0.329975,"operating":0.33}]}"#;
+    let got = post(server.addr(), "/v1/query", request);
+    assert_eq!(got.status, 200, "{}", got.body);
+    assert_eq!(got.body, expected);
     server.shutdown();
 }
 
@@ -591,12 +609,15 @@ fn api_endpoint_publishes_the_machine_readable_schema() {
         optimize.get("request").and_then(JsonValue::as_str),
         Some("OptimizeRequest")
     );
-    assert_eq!(optimize.get("legacy").and_then(JsonValue::as_str), Some("/optimize"));
+    // Every route lives under /v1: no row names an unversioned alias.
+    for e in endpoints {
+        assert!(e.get("legacy").is_none(), "unexpected legacy key in {e:?}");
+    }
     // DTO field lists ride along, so clients can introspect shapes.
     let dtos = v.get("dtos").expect("dtos present");
     assert!(dtos.get("OptimizeRequest").is_some());
     assert!(dtos.get("ErrorBody").is_some());
-    // The schema endpoint was born versioned: no unversioned alias.
+    // No unversioned alias.
     assert_eq!(get(addr, "/api").status, 404);
     server.shutdown();
 }
@@ -619,11 +640,10 @@ fn optimize_over_the_wire_matches_the_library_byte_for_byte() {
     let direct = ntc::optimize::optimize(&req).to_json();
     assert_eq!(served.body, direct, "POST /v1/optimize == repro optimize bytes");
 
-    // Memoized repeat (and the legacy shim) answer identically.
-    let again = post(addr, "/optimize", body);
+    // The memoized repeat answers identically.
+    let again = post(addr, "/v1/optimize", body);
     assert_eq!(again.status, 200);
     assert_eq!(again.body, served.body);
-    assert_eq!(again.header("Deprecation"), Some("true"));
 
     let resp = ntc::api::OptimizeResponse::from_json(&served.body).expect("response parses");
     assert!(resp.feasible);

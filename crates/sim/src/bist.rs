@@ -21,7 +21,6 @@ use std::fmt;
 
 /// One located fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BistFault {
     /// Word index of the failing cell.
     pub word_index: usize,
@@ -33,7 +32,6 @@ pub struct BistFault {
 
 /// Result of a BIST run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BistReport {
     /// Located faults, in detection order (one entry per word/element hit).
     pub faults: Vec<BistFault>,

@@ -15,7 +15,6 @@ use std::fmt;
 
 /// Cumulative DMA statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DmaStats {
     /// Transfers started.
     pub transfers: u64,

@@ -90,7 +90,6 @@ pub struct StepEvent {
 
 /// Summary of a completed [`Core::run`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RunOutcome {
     /// Whether the program reached `halt` (as opposed to the cycle limit).
     pub halted: bool,
@@ -156,11 +155,6 @@ impl Core {
         if r.index() != 0 {
             self.regs[r.index()] = value;
         }
-    }
-
-    /// Resets pc and registers.
-    pub fn reset(&mut self) {
-        *self = Self::new();
     }
 
     /// Executes one instruction against `im` (instruction words) and `mem`.

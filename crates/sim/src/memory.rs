@@ -482,11 +482,6 @@ impl ProtectedMemory {
         self
     }
 
-    /// Stored bits per word (57 for the quad BCH).
-    pub fn stored_bits(&self) -> u32 {
-        self.code.codeword_bits()
-    }
-
     /// Host-side read through the decoder (no fault injection, no stats).
     ///
     /// # Errors

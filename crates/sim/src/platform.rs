@@ -21,7 +21,6 @@ use std::fmt;
 
 /// Energy accumulated by one module.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ModuleEnergy {
     /// Dynamic (switching) energy, joules.
     pub dynamic_j: f64,
@@ -282,7 +281,6 @@ impl EnergyCosts {
 
 /// Summary of a platform run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PlatformOutcome {
     /// Whether the program reached `halt`.
     pub halted: bool,
@@ -382,12 +380,6 @@ impl<M: DataPort> Platform<M> {
     /// Cycles elapsed.
     pub fn cycles(&self) -> u64 {
         self.cycles
-    }
-
-    /// Resets the core to pc 0 (registers cleared); memories and ledger
-    /// keep their contents — this is what a rollback re-entry uses.
-    pub fn reset_core(&mut self) {
-        self.core.reset();
     }
 
     /// Snapshots the full architectural state of the core (registers + pc).

@@ -13,7 +13,6 @@ use std::fmt;
 
 /// Instruction categories for the mix histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum InsnClass {
     /// Register and immediate ALU operations.
     Alu,
@@ -72,7 +71,6 @@ impl fmt::Display for InsnClass {
 
 /// Measured execution profile of a program.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Profile {
     /// Total core cycles.
     pub cycles: u64,

@@ -61,7 +61,6 @@ impl std::error::Error for LawError {}
 /// assert!((law.p_bit(law.mean()) - 0.5).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RetentionLaw {
     mean: f64,
     sigma: f64,
@@ -271,7 +270,6 @@ impl fmt::Display for RetentionLaw {
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AccessLaw {
     a: f64,
     k: f64,

@@ -21,7 +21,6 @@ use std::fmt;
 
 /// A bit-cell implementation style.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CellStyle {
     /// Commercial 6T SRAM macro (COTS IP) in 40 nm.
     Commercial6T,

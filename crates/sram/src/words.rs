@@ -69,7 +69,6 @@ pub fn ln_binomial(n: u64, k: u64) -> f64 {
 /// assert!(p3 > 8e-15 && p3 < 1e-14);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WordErrorModel {
     bits: u32,
 }
@@ -262,7 +261,6 @@ impl fmt::Display for WordErrorModel {
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CorrelatedWordModel {
     bits: u32,
     rho: f64,

@@ -38,7 +38,6 @@ use crate::mc::{z_for_confidence, Moments, TrialCounter};
 
 /// Convergence summary of a sharded Monte-Carlo estimate.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Convergence {
     /// Number of shards the estimate was reduced from.
     pub shards: usize,
@@ -182,7 +181,6 @@ impl Convergence {
 /// experiments gate on — and the **max-weight share**, the fraction of
 /// the total weight owned by the single largest weight.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TiltedConvergence {
     /// Number of shards the estimate was reduced from.
     pub shards: usize,

@@ -50,7 +50,6 @@ impl std::error::Error for GaussianError {}
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Gaussian {
     mean: f64,
     sigma: f64,
@@ -113,11 +112,6 @@ impl Gaussian {
     /// Survival function `P(X > x)`, with relative accuracy in the right tail.
     pub fn sf(&self, x: f64) -> f64 {
         phi(-self.z(x))
-    }
-
-    /// Natural log of the survival function.
-    pub fn ln_sf(&self, x: f64) -> f64 {
-        ln_phi(-self.z(x))
     }
 
     /// Probability density function.

@@ -36,7 +36,6 @@ impl FitError {
 
 /// A fitted straight line `y = slope·x + intercept` with its goodness of fit.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Line {
     /// Fitted slope.
     pub slope: f64,
@@ -170,7 +169,6 @@ pub fn probit_line_fit(x: &[f64], p: &[f64]) -> Result<Line, FitError> {
 /// A fitted access-failure power law `p = A·(V0 − V)^k` for `V < V0`
 /// (the paper's Eq. 5; `p = 0` at and above `V0`).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PowerLawFit {
     /// Amplitude `A`.
     pub amplitude: f64,
@@ -305,7 +303,6 @@ pub fn fit_power_law(v: &[f64], p: &[f64], v0_range: (f64, f64)) -> Result<Power
 /// drifting Eq. 4 / Eq. 5 fit is visible in `repro report` without
 /// touching artifact bytes.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FitQuality {
     /// Number of points compared.
     pub n: usize,

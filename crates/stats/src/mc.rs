@@ -26,7 +26,6 @@ pub mod tilted;
 /// assert!((m.variance() - 5.0 / 3.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Moments {
     n: u64,
     mean: f64,
@@ -153,7 +152,6 @@ impl FromIterator<f64> for Moments {
 /// assert!(lo < 0.01 && 0.01 < hi);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TrialCounter {
     trials: u64,
     hits: u64,

@@ -48,7 +48,6 @@ use crate::rng::{lane_uniform, stream_key};
 /// fields and in-order-deterministic for the f64 sums, matching the
 /// workspace's shard-merge discipline.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TiltedCounter {
     trials: u64,
     hits: u64,

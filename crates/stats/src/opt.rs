@@ -102,11 +102,6 @@ impl SearchSpace {
     pub fn continuous(&self) -> Option<(f64, f64)> {
         self.continuous
     }
-
-    /// Number of points a single exhaustive discrete sweep evaluates.
-    pub fn discrete_points(&self) -> u64 {
-        self.cards.iter().map(|&c| c as u64).product()
-    }
 }
 
 /// Optimizer knobs. All fields feed the deterministic seed/termination

@@ -14,7 +14,6 @@ use std::fmt;
 
 /// A global process corner (all devices shifted together).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Corner {
     /// Fast-fast: thresholds 3σ_global low.
     FF,
@@ -103,7 +102,6 @@ impl fmt::Display for Corner {
 /// assert!((spec - 0.85).abs() < 0.03, "spec = {spec}");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MarginStack {
     /// Slow-corner adder, volts.
     pub corner_v: f64,

@@ -147,7 +147,6 @@ impl Inverter {
 
 /// One point of a delay-vs-voltage sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DelayPoint {
     /// Supply voltage in volts.
     pub vdd: f64,
@@ -159,7 +158,6 @@ pub struct DelayPoint {
 
 /// Monte-Carlo delay statistics at one supply point.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DelaySpread {
     /// Supply voltage in volts.
     pub vdd: f64,

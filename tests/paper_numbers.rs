@@ -15,6 +15,7 @@
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
+use ntc::artifact::diff::{diff_artifacts, Tolerance};
 use ntc::artifact::Artifact;
 use ntc::repro::{experiment_ids, find_id, RunCtx};
 
@@ -52,6 +53,29 @@ fn every_registered_experiment_passes_its_anchors() {
         checked += a.checks().len();
     }
     assert!(checked >= 50, "only {checked} anchors checked — registry shrank?");
+}
+
+/// The committed quick baselines are the regression oracle `repro diff
+/// baselines/quick --quick` checks: every registered experiment's
+/// quick-scale artifact must match its baseline file under the default
+/// tolerance, and every file in the directory must be compared.
+#[test]
+fn quick_baselines_diff_clean() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../baselines/quick");
+    let files = std::fs::read_dir(dir).expect("baselines/quick is readable").count();
+    let mut compared = 0;
+    for id in experiment_ids() {
+        let path = format!("{dir}/{id}.json");
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("{id} has no baseline at {path}: {e}"));
+        let baseline = Artifact::from_json(&text)
+            .unwrap_or_else(|e| panic!("{path} is not an artifact: {e}"));
+        let diff = diff_artifacts(&baseline, &artifact(id), Tolerance::default());
+        let entries: Vec<String> = diff.entries.iter().map(ToString::to_string).collect();
+        assert!(diff.is_clean(), "{id} drifted from its baseline:\n{}", entries.join("\n"));
+        compared += 1;
+    }
+    assert_eq!(compared, files, "every file in {dir} is an experiment's baseline");
 }
 
 /// Eq. 5 constants (A, k, V0 commercial, V0 cell-based) and the
