@@ -569,15 +569,50 @@ fn repro_threads(args: &[&str], threads: &str) -> Output {
 
 #[test]
 fn optimize_bytes_are_identical_across_thread_counts() {
+    // Beyond the tiny request: the paper preset, an exact-grid request
+    // (no objective memo) and a narrowed paper-grid window, each also
+    // at the host's default thread count.
     let dir = scratch("optimize_threads");
     let req = dir.join("request.json");
+    let exact = dir.join("req-exact.json");
+    let window = dir.join("req-window.json");
     std::fs::write(&req, OPT_REQUEST).unwrap();
-    let req_s = req.to_str().unwrap();
-    let one = repro_threads(&["optimize", "--request", req_s], "1");
-    assert!(one.status.success(), "{}", stderr(&one));
-    let seven = repro_threads(&["optimize", "--request", req_s], "7");
-    assert!(seven.status.success(), "{}", stderr(&seven));
-    assert_eq!(one.stdout, seven.stdout, "NTC_THREADS must not change the bytes");
+    std::fs::write(
+        &exact,
+        concat!(
+            r#"{"constraints":{"frequency_hz":290e3},"space":{"cells":["cell_based_aoi"],"#,
+            r#""schemes":["secded","ocean"],"banks":[1,2],"words":[2048],"#,
+            r#""vdd":{"lo":0.2,"hi":1.2,"grid":"exact"}},"restarts":2}"#
+        ),
+    )
+    .unwrap();
+    std::fs::write(
+        &window,
+        concat!(
+            r#"{"constraints":{"frequency_hz":1.96e6},"#,
+            r#""space":{"vdd":{"lo":0.3,"hi":0.9}},"seed":7,"restarts":4}"#
+        ),
+    )
+    .unwrap();
+    let cases: [&[&str]; 4] = [
+        &["optimize", "--request", req.to_str().unwrap()],
+        &["optimize", "--frequency", "290e3"],
+        &["optimize", "--request", exact.to_str().unwrap()],
+        &["optimize", "--request", window.to_str().unwrap()],
+    ];
+    for args in cases {
+        let one = repro_threads(args, "1");
+        assert!(one.status.success(), "{args:?}: {}", stderr(&one));
+        assert!(stdout(&one).contains(r#""feasible":true"#), "{args:?}: {}", stdout(&one));
+        for threads in ["7", "8"] {
+            let many = repro_threads(args, threads);
+            assert!(many.status.success(), "{args:?}: {}", stderr(&many));
+            assert_eq!(one.stdout, many.stdout, "{args:?}: NTC_THREADS={threads} moved the bytes");
+        }
+        let default = repro_clean_env(args);
+        assert!(default.status.success(), "{args:?}: {}", stderr(&default));
+        assert_eq!(one.stdout, default.stdout, "{args:?}: the default thread count differs");
+    }
 }
 
 #[test]

@@ -87,10 +87,11 @@ struct Evaluator<'a> {
     /// next-grid-point-up conservative reading.
     vdd_floor: Vec<Vec<f64>>,
     /// Objective memo on the `paper` grid, one slot per (flattened
-    /// discrete choice, grid index); [`EMPTY`] until scored. Shared by
-    /// the restarts the engine fans out: a race only repeats a pure
-    /// computation and stores the same bits. Empty on the `exact` grid,
-    /// whose coordinates never repeat.
+    /// discrete choice, grid index); [`EMPTY`] until scored. The engine
+    /// runs its restarts on one thread; the slots stay atomic so one
+    /// evaluator may still serve searches on several threads, where a
+    /// race only repeats a pure computation and stores the same bits.
+    /// Empty on the `exact` grid, whose coordinates never repeat.
     memo: Vec<AtomicU64>,
 }
 
@@ -291,7 +292,7 @@ pub fn optimize(req: &OptimizeRequest) -> OptimizeResponse {
 /// the response for the canonical request `req`.
 fn search<F>(req: &OptimizeRequest, ev: &Evaluator<'_>, f: F) -> OptimizeResponse
 where
-    F: Fn(&[usize], f64) -> f64 + Sync,
+    F: Fn(&[usize], f64) -> f64,
 {
     let space = match ev.space() {
         Ok(space) => space,

@@ -182,7 +182,9 @@ impl ServerState {
             ntc_obs::counter_add("serve.optimize.memo_hit", 1);
             return body;
         }
-        let hex = req.request_hash_hex();
+        // `request_hash_hex` of the hash already in hand: rendering the
+        // canonical request again would cost as much as the first time.
+        let hex = format!("{hash:016x}");
         // Optimize responses have no scale; the hash alone carries the
         // whole request, and the seed slot mirrors the request's only
         // to keep the store's file names human-scannable.

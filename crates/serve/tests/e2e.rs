@@ -582,6 +582,32 @@ fn v1_query_batch_answers_the_pinned_wire_bytes() {
 }
 
 #[test]
+fn v1_optimize_answers_the_pinned_wire_bytes() {
+    // Two optimize requests must answer exactly these literals, recorded
+    // from a server that reran every line search. The convergence record
+    // (sweeps, evaluations, per-restart bests) pins the search path, so
+    // a line memo that skipped, misplaced or miscounted a search fails
+    // here even though in-process comparisons share its code.
+    let server = quick_server();
+    let cases = [
+        (
+            r#"{"constraints":{"frequency_hz":290e3}}"#,
+            r#"{"schema":"ntc.optimize.v1","request_hash":"1c9d01d7ce24596e","feasible":true,"best":{"cell":"cell_based_aoi","scheme":"ocean","banks":4,"words":512,"vdd":0.33,"energy_per_access_pj":0.49079047835560424,"cycle_time_ns":25225.395831982067,"area_mm2":0.0407666688,"f_max_hz":39642.58902657726,"objective":0.49079047835560424},"convergence":{"restarts":8,"sweeps":21,"evaluations":17501,"best_per_restart":[0.49079047835560424,0.49079047835560424,0.49079047835560424,0.49079047835560424,0.49079047835560424,0.49079047835560424,0.49079047835560424,0.49079047835560424]}}"#,
+        ),
+        (
+            r#"{"constraints":{"frequency_hz":290e3},"space":{"cells":["cell_based_aoi"],"schemes":["secded","ocean"],"banks":[1,2],"words":[2048],"vdd":{"lo":0.2,"hi":1.2,"grid":"exact"}},"restarts":2}"#,
+            r#"{"schema":"ntc.optimize.v1","request_hash":"4cf5469164ea09ed","feasible":true,"best":{"cell":"cell_based_aoi","scheme":"ocean","banks":1,"words":2048,"vdd":0.3299791776509004,"energy_per_access_pj":1.8014324987933064,"cycle_time_ns":25236.06832344931,"area_mm2":0.14057472000000001,"f_max_hz":39625.82392720825,"objective":1.8014324987933064},"convergence":{"restarts":2,"sweeps":4,"evaluations":1178,"best_per_restart":[1.8014324987933064,1.8014324987933064]}}"#,
+        ),
+    ];
+    for (request, expected) in cases {
+        let got = post(server.addr(), "/v1/optimize", request);
+        assert_eq!(got.status, 200, "{}", got.body);
+        assert_eq!(got.body, expected, "{request}");
+    }
+    server.shutdown();
+}
+
+#[test]
 fn api_endpoint_publishes_the_machine_readable_schema() {
     let server = quick_server();
     let addr = server.addr();

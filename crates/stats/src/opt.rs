@@ -17,11 +17,20 @@
 //!    fresh candidates). Then the continuous axis is refined by a coarse
 //!    scan followed by golden-section search inside the bracketing scan
 //!    cell. Sweeps repeat until a sweep yields no strict improvement.
-//! 3. **Ordered merge.** Restarts run through [`exec::par_map`] and are
-//!    folded in restart order with a canonical tie-break (objective value,
-//!    then lexicographic point), so the winner is bit-identical at any
-//!    `NTC_THREADS` setting and independent of which restart found it
-//!    first in wall-clock time.
+//! 3. **Ordered merge.** Restarts run one after another on the caller's
+//!    thread and are folded in restart order with a canonical tie-break
+//!    (objective value, then lexicographic point), so the winner is
+//!    independent of which restart found it and of `NTC_THREADS`. A
+//!    restart costs tens of microseconds, less than spawning threads to
+//!    spread it; callers that want cores busy run independent
+//!    [`minimize`] calls side by side.
+//! 4. **Each line searched once.** With the bracket and tolerance fixed
+//!    per call, a line search is a pure function of the discrete choice.
+//!    One [`minimize`] call keeps each finished line search (its point,
+//!    value and evaluation cost) in a slot per flattened choice vector; a
+//!    repeat reads the slot and counts the recorded cost again, so the
+//!    [`Convergence`] record reads exactly as if the search had rerun.
+//!    Spaces past `LINE_MEMO_MAX_SLOTS` choices run unmemoized.
 //!
 //! Objective values that are not finite (`NaN`, `±∞`) are treated as
 //! infeasible: they are mapped to `+∞` and never adopted. An
@@ -43,7 +52,6 @@
 //! assert!(conv.evaluations > 0);
 //! ```
 
-use crate::exec;
 use crate::rng::Source;
 
 /// Inverse golden ratio, (√5 − 1) / 2.
@@ -56,6 +64,12 @@ const SCAN_POINTS: usize = 33;
 /// shrinks by ×0.618 each step, so this is never the binding limit for
 /// any sane tolerance; it only guards against `tol <= 0`).
 const MAX_GOLDEN_ITERS: usize = 200;
+
+/// Most line-memo slots one [`minimize`] call may allocate (2 MiB at 32
+/// bytes a slot). The autotuner's largest decodable space, 3 · 3 · 25 ·
+/// 64 = 14,400 choices, fits; a larger space runs unmemoized rather than
+/// allocating without bound.
+const LINE_MEMO_MAX_SLOTS: usize = 1 << 16;
 
 /// The mixed discrete/continuous domain the optimizer searches.
 #[derive(Debug, Clone, PartialEq)]
@@ -149,7 +163,9 @@ pub struct Convergence {
     pub restarts: u32,
     /// Total coordinate sweeps across all restarts.
     pub sweeps: u64,
-    /// Total objective evaluations across all restarts.
+    /// Total objective evaluations across all restarts. A line search
+    /// read back from the line memo counts its evaluations again, so the
+    /// total is what a search without the memo would have spent.
     pub evaluations: u64,
     /// Best objective value reached by each restart, in restart order.
     pub best_per_restart: Vec<f64>,
@@ -245,24 +261,101 @@ where
     (best_x, best_v)
 }
 
-/// One seeded restart: random start, then coordinate sweeps to a local
-/// minimum. Pure function of `(space, cfg.seed, r, f)`.
-fn restart<F>(space: &SearchSpace, cfg: &OptConfig, r: u64, f: &F) -> RestartRun
-where
-    F: Fn(&[usize], f64) -> f64,
-{
-    let mut span = ntc_obs::span("opt.restart");
+/// A finished line search: where it landed, what it scored, and the
+/// objective evaluations it spent.
+#[derive(Clone, Copy)]
+struct Line {
+    x: f64,
+    value: f64,
+    evals: u64,
+}
+
+/// The line searches of one [`minimize`] call, one slot per flattened
+/// choice vector. `slots` is empty when the space has no continuous axis
+/// or more than [`LINE_MEMO_MAX_SLOTS`] choices; every search then runs.
+struct LineMemo<'a> {
+    cards: &'a [usize],
+    bracket: (f64, f64),
+    tol: f64,
+    slots: Vec<Option<Line>>,
+    /// Line searches actually run (memo misses).
+    runs: u64,
+}
+
+impl<'a> LineMemo<'a> {
+    fn new(space: &'a SearchSpace, tol: f64) -> Self {
+        let slots = match space.continuous {
+            Some(_) => space
+                .cards
+                .iter()
+                .try_fold(1usize, |n, &c| n.checked_mul(c))
+                .filter(|&n| n <= LINE_MEMO_MAX_SLOTS)
+                .map_or_else(Vec::new, |n| vec![None; n]),
+            None => Vec::new(),
+        };
+        Self {
+            cards: &space.cards,
+            bracket: space.continuous.unwrap_or((0.0, 0.0)),
+            tol,
+            slots,
+            runs: 0,
+        }
+    }
+
+    /// [`refine`] along the continuous axis at `choice`, run at most once
+    /// per choice; a repeat adds the first run's evaluations to `evals`.
+    fn search<F>(&mut self, f: &F, choice: &[usize], evals: &mut u64) -> (f64, f64)
+    where
+        F: Fn(&[usize], f64) -> f64,
+    {
+        let flat = choice.iter().zip(self.cards).fold(0, |acc, (&k, &n)| acc * n + k);
+        if let Some(Some(line)) = self.slots.get(flat) {
+            *evals += line.evals;
+            return (line.x, line.value);
+        }
+        let spent = *evals;
+        let (lo, hi) = self.bracket;
+        let (x, value) = refine(f, choice, lo, hi, self.tol, evals);
+        self.runs += 1;
+        if let Some(slot) = self.slots.get_mut(flat) {
+            *slot = Some(Line { x, value, evals: *evals - spent });
+        }
+        (x, value)
+    }
+}
+
+/// The seeded starting point of restart `r`: a pure function of
+/// `(space, cfg.seed, r)`.
+fn start(space: &SearchSpace, cfg: &OptConfig, r: u64) -> (Vec<usize>, f64) {
     let mut rng = Source::stream(cfg.seed, r);
-    let mut choice: Vec<usize> = space
+    let choice = space
         .cards
         .iter()
         .map(|&c| rng.below(c as u64) as usize)
         .collect();
-    let mut x = match space.continuous {
+    let x = match space.continuous {
         Some((lo, hi)) if hi > lo => rng.uniform_in(lo, hi),
         Some((lo, _)) => lo,
         None => 0.0,
     };
+    (choice, x)
+}
+
+/// One seeded restart: random start, then coordinate sweeps to a local
+/// minimum. Pure function of `(space, cfg.seed, r, f)`; `lines` only
+/// saves repeating line searches.
+fn restart<F>(
+    space: &SearchSpace,
+    cfg: &OptConfig,
+    r: u64,
+    f: &F,
+    lines: &mut LineMemo<'_>,
+) -> RestartRun
+where
+    F: Fn(&[usize], f64) -> f64,
+{
+    let mut span = ntc_obs::span("opt.restart");
+    let (mut choice, mut x) = start(space, cfg, r);
     let mut evals = 0u64;
     let mut value = eval(f, &choice, x, &mut evals);
     let mut sweeps = 0u64;
@@ -286,7 +379,7 @@ where
             for k in 0..space.cards[a] {
                 choice[a] = k;
                 let (kx, v) = match space.continuous {
-                    Some((lo, hi)) => refine(f, &choice, lo, hi, cfg.tol, &mut evals),
+                    Some(_) => lines.search(f, &choice, &mut evals),
                     None if k == incumbent => (x, value),
                     None => (x, eval(f, &choice, x, &mut evals)),
                 };
@@ -301,13 +394,11 @@ where
             value = best_v;
         }
         // Purely continuous space: no discrete scan ran, refine directly.
-        if space.cards.is_empty() {
-            if let Some((lo, hi)) = space.continuous {
-                let (bx, bv) = refine(f, &choice, lo, hi, cfg.tol, &mut evals);
-                if bv < value || (bv == value && bx < x) {
-                    value = bv;
-                    x = bx;
-                }
+        if space.cards.is_empty() && space.continuous.is_some() {
+            let (bx, bv) = lines.search(f, &choice, &mut evals);
+            if bv < value || (bv == value && bx < x) {
+                value = bv;
+                x = bx;
             }
         }
         sweeps += 1;
@@ -338,25 +429,23 @@ fn better(a: &Best, b: &Best) -> bool {
     }
 }
 
-fn minimize_with_threads<F>(
+/// Runs every restart in order through `lines` and folds the results.
+fn run<F>(
     space: &SearchSpace,
     cfg: &OptConfig,
-    threads: usize,
-    f: F,
+    f: &F,
+    lines: &mut LineMemo<'_>,
 ) -> (Best, Convergence)
 where
-    F: Fn(&[usize], f64) -> f64 + Sync,
+    F: Fn(&[usize], f64) -> f64,
 {
-    let restarts = cfg.restarts.max(1) as usize;
-    let f = &f;
-    let runs = exec::par_map_with_threads(restarts, threads, |r| {
-        restart(space, cfg, r as u64, f)
-    });
+    let restarts = cfg.restarts.max(1);
     let mut best: Option<Best> = None;
     let mut sweeps = 0u64;
     let mut evaluations = 0u64;
-    let mut best_per_restart = Vec::with_capacity(runs.len());
-    for run in runs {
+    let mut best_per_restart = Vec::with_capacity(restarts as usize);
+    for r in 0..u64::from(restarts) {
+        let run = restart(space, cfg, r, f, lines);
         sweeps += run.sweeps;
         evaluations += run.evaluations;
         best_per_restart.push(run.best.value);
@@ -366,13 +455,10 @@ where
         };
     }
     let best = best.expect("at least one restart");
-    ntc_obs::counter_add("opt.sweeps", sweeps);
-    ntc_obs::counter_add("opt.evaluations", evaluations);
-    ntc_obs::gauge_set("opt.best_value", best.value);
     (
         best,
         Convergence {
-            restarts: restarts as u32,
+            restarts,
             sweeps,
             evaluations,
             best_per_restart,
@@ -380,19 +466,25 @@ where
     )
 }
 
-/// Minimizes `f` over `space` with the restarts fanned across cores.
+/// Minimizes `f` over `space`, running the restarts in order on the
+/// caller's thread and each line search once.
 ///
 /// The result is a pure function of `(space, cfg, f)`: restarts draw from
-/// counter-based streams and are merged in restart order, so the winner is
-/// bit-identical at any `NTC_THREADS` setting.
+/// counter-based streams and are merged in restart order, and a line
+/// search read back from the memo returns exactly what rerunning it would.
 pub fn minimize<F>(space: &SearchSpace, cfg: &OptConfig, f: F) -> (Best, Convergence)
 where
-    F: Fn(&[usize], f64) -> f64 + Sync,
+    F: Fn(&[usize], f64) -> f64,
 {
     let mut span = ntc_obs::span("opt.minimize");
-    let out = minimize_with_threads(space, cfg, exec::threads(), f);
-    span.add_items(out.1.evaluations);
-    out
+    let mut lines = LineMemo::new(space, cfg.tol);
+    let (best, conv) = run(space, cfg, &f, &mut lines);
+    ntc_obs::counter_add("opt.sweeps", conv.sweeps);
+    ntc_obs::counter_add("opt.evaluations", conv.evaluations);
+    ntc_obs::counter_add("opt.line_searches", lines.runs);
+    ntc_obs::gauge_set("opt.best_value", best.value);
+    span.add_items(conv.evaluations);
+    (best, conv)
 }
 
 #[cfg(test)]
@@ -482,21 +574,119 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_never_changes_the_answer() {
+    fn concurrent_callers_get_the_direct_answer() {
+        // Two server shards may optimize at once: each call owns its
+        // line memo, so calls made from worker threads must equal
+        // direct ones at any thread count.
         let f = |c: &[usize], x: f64| {
             (c[0] as f64 - 4.0).powi(2) * 0.25 + (x - 0.55).powi(2) + c[1] as f64 * 0.01
         };
         let space = SearchSpace::new(vec![7, 3], Some((0.1, 0.9))).unwrap();
-        let cfg = OptConfig {
-            seed: 42,
+        let cfg = |seed: usize| OptConfig {
+            seed: seed as u64,
             restarts: 9,
             ..OptConfig::default()
         };
-        let serial = minimize_with_threads(&space, &cfg, 1, f);
-        for t in [2, 3, 8, 16] {
-            let par = minimize_with_threads(&space, &cfg, t, f);
-            assert_eq!(serial, par, "threads = {t}");
+        let direct: Vec<_> = (0..8).map(|i| minimize(&space, &cfg(i), f)).collect();
+        for t in [1, 2, 8] {
+            let par = crate::exec::par_map_with_threads(8, t, |i| minimize(&space, &cfg(i), f));
+            assert_eq!(par, direct, "threads = {t}");
         }
+    }
+
+    /// A coupled objective with a choice-dependent feasibility cliff, so
+    /// restarts revisit each other's lines.
+    fn cliff(c: &[usize], x: f64) -> f64 {
+        if x < 0.2 + 0.1 * c[1] as f64 {
+            return f64::INFINITY;
+        }
+        (c[0] as f64 - 3.0).powi(2) * 0.2
+            + (x - 0.6 + 0.1 * c[1] as f64).powi(2)
+            + 0.05 * (c[0] * c[2]) as f64
+    }
+
+    #[test]
+    fn each_line_is_searched_once_and_counted_every_time() {
+        let space = SearchSpace::new(vec![6, 3, 4], Some((0.0, 1.0))).unwrap();
+        let cfg = OptConfig {
+            seed: 11,
+            ..OptConfig::default()
+        };
+        let calls = std::cell::RefCell::new(std::collections::BTreeMap::<Vec<usize>, u64>::new());
+        let counted = |c: &[usize], x: f64| {
+            *calls.borrow_mut().entry(c.to_vec()).or_default() += 1;
+            cliff(c, x)
+        };
+        let (best, conv) = minimize(&space, &cfg, counted);
+
+        // Each choice gets its restart-start evaluations plus at most one
+        // line search's worth of calls.
+        let calls = calls.into_inner();
+        let mut starts = std::collections::BTreeMap::<Vec<usize>, u64>::new();
+        for r in 0..u64::from(cfg.restarts) {
+            *starts.entry(start(&space, &cfg, r).0).or_default() += 1;
+        }
+        let mut searched = 0;
+        for (choice, &n) in &calls {
+            let mut one = 0;
+            refine(&cliff, choice, 0.0, 1.0, cfg.tol, &mut one);
+            let line = n - starts.get(choice).copied().unwrap_or(0);
+            assert!(line == 0 || line == one, "{choice:?}: {line} calls, one search is {one}");
+            searched += u64::from(line > 0);
+        }
+        let total: u64 = calls.values().sum();
+        assert!(searched > 0);
+        assert!(conv.evaluations > total, "reused searches count again");
+
+        // The same answer and record as the search without the memo.
+        let tie = 7.703_719_777_548_943e-34;
+        assert_eq!(
+            best,
+            Best {
+                choice: vec![3, 1, 0],
+                x: 0.5,
+                value: tie
+            }
+        );
+        assert_eq!(
+            conv,
+            Convergence {
+                restarts: 8,
+                sweeps: 16,
+                evaluations: 10_200,
+                best_per_restart: vec![tie; 8],
+            }
+        );
+    }
+
+    #[test]
+    fn unmemoized_lines_give_the_same_answer() {
+        let space = SearchSpace::new(vec![6, 3, 4], Some((0.0, 1.0))).unwrap();
+        for seed in [1, 11, 2014] {
+            let cfg = OptConfig {
+                seed,
+                restarts: 5,
+                ..OptConfig::default()
+            };
+            let mut bare = LineMemo::new(&space, cfg.tol);
+            bare.slots.clear();
+            let unmemoized = run(&space, &cfg, &cliff, &mut bare);
+            let mut lines = LineMemo::new(&space, cfg.tol);
+            assert_eq!(run(&space, &cfg, &cliff, &mut lines), unmemoized, "seed {seed}");
+            assert!(lines.runs < bare.runs, "seed {seed}: {} vs {}", lines.runs, bare.runs);
+        }
+    }
+
+    #[test]
+    fn line_memo_is_bounded() {
+        let fits = SearchSpace::new(vec![3, 3, 25, 64], Some((0.11, 2.0))).unwrap();
+        assert_eq!(LineMemo::new(&fits, 1e-4).slots.len(), 14_400);
+        let past = SearchSpace::new(vec![300, 300], Some((0.0, 1.0))).unwrap();
+        assert!(LineMemo::new(&past, 1e-4).slots.is_empty());
+        let overflow = SearchSpace::new(vec![usize::MAX, 2], Some((0.0, 1.0))).unwrap();
+        assert!(LineMemo::new(&overflow, 1e-4).slots.is_empty());
+        let discrete = SearchSpace::new(vec![4, 4], None).unwrap();
+        assert!(LineMemo::new(&discrete, 1e-4).slots.is_empty());
     }
 
     #[test]
