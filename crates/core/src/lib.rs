@@ -13,13 +13,6 @@
 //!   run the 1K-point FFT on the simulated platform under No-mitigation /
 //!   SECDED / OCEAN at the solved voltages and report the per-module power
 //!   breakdown, plus the headline savings ratios of the abstract.
-//! * [`calculator`] — the Section IV "memory calculator": figures of
-//!   merit (energy, leakage, timing, error rate, FIT-capable schemes)
-//!   over a wide range of input parameters.
-//! * [`standby`] — the Section II standby argument quantified: minimal
-//!   retention voltage per mitigation scheme and duty-cycled power.
-//! * [`parallel`] — the Section V parallelism argument: trading cores for
-//!   frequency to exploit the quadratic voltage gains.
 //! * [`monitor`] — the run-time monitoring and control loop of
 //!   Section IV: an ageing model drifts the minimal access voltage over a
 //!   product's lifetime, and a feedback controller tracks it through the
@@ -44,7 +37,6 @@
 
 pub mod api;
 pub mod artifact;
-pub mod calculator;
 pub mod error;
 pub mod experiments;
 pub mod fit;
@@ -52,17 +44,12 @@ pub mod journal;
 pub mod repro;
 pub mod monitor;
 pub mod optimize;
-pub mod parallel;
-pub mod standby;
 pub mod store;
 
-pub use calculator::MemoryCalculator;
 pub use error::NtcError;
 pub use experiments::{ExperimentResult, MitigationPolicy, Workload};
 pub use fit::{FitSolver, Scheme, VoltageGrid};
 pub use monitor::{AgingModel, VoltageController};
-pub use parallel::ParallelPlan;
-pub use standby::StandbyAnalysis;
 
 /// The typed public facade in one import.
 ///

@@ -14,7 +14,6 @@
 //!   that rate inside a target band — tracking the drift with millivolts
 //!   instead of the worst-case lifetime guardband a static design needs.
 
-use ntc_sram::canary::CanaryArray;
 use ntc_sram::failure::AccessLaw;
 use ntc_stats::rng::Source;
 use std::fmt;
@@ -214,48 +213,6 @@ pub fn simulate_lifetime(
     trace
 }
 
-/// Simulates a lifetime driven by *canary* telemetry instead of observed
-/// corrections: every window the canary array (which ages with the real
-/// cells) is read out at the current supply, and any canary failure is a
-/// leading-indicator "raise the supply" signal — the controller acts before
-/// the real array produces a single correctable error.
-///
-/// `canary_margin_v` is the designed canary weakening (see
-/// [`CanaryArray`] for sizing: ≈0.4 V with the measured Eq. 5 exponent).
-///
-/// # Panics
-///
-/// Panics if `windows == 0` (and propagates [`CanaryArray::new`]'s
-/// validation).
-pub fn simulate_lifetime_with_canary(
-    aging: &AgingModel,
-    controller: &mut VoltageController,
-    canary_margin_v: f64,
-    canary_cells: u32,
-    windows: usize,
-    seed: u64,
-) -> Vec<ControlPoint> {
-    assert!(windows > 0, "need at least one window");
-    let mut src = Source::seeded(seed);
-    let mut trace = Vec::with_capacity(windows);
-    for w in 0..windows {
-        let years = aging.lifetime_years * (w as f64 + 0.5) / windows as f64;
-        // The canaries age with the array: their law carries both the
-        // designed margin and the drift.
-        let canary = CanaryArray::new(aging.law_at(years), canary_margin_v, canary_cells);
-        let failures = canary.sample_failures(controller.vdd(), &mut src);
-        // Canary read-outs are cheap, so a window is one array scan:
-        // failures per canary cell is the controller's "rate".
-        let vdd = controller.observe(failures as u64, canary_cells as u64);
-        trace.push(ControlPoint {
-            years,
-            vdd,
-            observed_rate: failures as f64 / canary_cells as f64,
-        });
-    }
-    trace
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,23 +351,6 @@ mod tests {
             "peak {peak:.3} V reached the static worst case"
         );
         assert!(c.adjustments() > 0, "the loop must actually act");
-    }
-
-    #[test]
-    fn canary_telemetry_tracks_ageing_with_zero_real_errors() {
-        let a = aging();
-        // Band: any canary failure (rate ≥ 1/4096) raises the supply; a
-        // long silence lowers it.
-        let mut c = VoltageController::new(0.56, (1e-5, 2e-4), 0.005, (0.33, 1.1));
-        let trace = simulate_lifetime_with_canary(&a, &mut c, 0.40, 4096, 400, 13);
-        let first = trace.first().expect("nonempty");
-        let last = trace.last().expect("nonempty");
-        assert!(last.vdd > first.vdd, "canaries must drive tracking");
-        // At every point, the REAL array is error-free: leading indicator.
-        for p in &trace {
-            let law = a.law_at(p.years);
-            assert_eq!(law.p_bit(p.vdd), 0.0, "real errors at {:.2} yr", p.years);
-        }
     }
 
     #[test]

@@ -40,11 +40,9 @@
 pub mod bch;
 pub mod energy;
 pub mod interleave;
-pub mod parity;
 pub mod secded;
 
 pub use bch::{BchDecTed, BchQuad};
 pub use energy::EccEnergyModel;
-pub use parity::Parity;
 pub use interleave::InterleavedCode;
 pub use secded::{DecodeOutcome, Secded};

@@ -54,8 +54,7 @@ impl fmt::Display for Table1Row {
 
 /// The paper's Table 1, verbatim (scaling footnotes already applied by the
 /// authors; the 65 nm area is additionally node-scaled in the paper via
-/// footnote *4 — both the raw 0.19 mm² and the scaled value are recoverable
-/// through [`ntc_tech::scaling::area_node_factor`]).
+/// footnote *4, by the squared node ratio).
 pub fn published_rows() -> Vec<Table1Row> {
     vec![
         Table1Row {

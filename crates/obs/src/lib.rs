@@ -1,19 +1,20 @@
 //! `ntc-obs` — zero-dependency tracing, metrics, and run provenance.
 //!
-//! The workspace's instrumentation layer: hierarchical [spans](span)
-//! with RAII guards and monotonic clocks, typed [metrics](metrics) on
-//! lock-free `AtomicU64` cells, pluggable [sinks](export) (Chrome
+//! The workspace's instrumentation layer: hierarchical [spans](mod@span)
+//! with RAII guards and monotonic clocks, typed [metrics] on lock-free
+//! `AtomicU64` cells, pluggable [sinks](export) (Chrome
 //! `trace_event`, JSON-lines, plain text, Prometheus exposition), a
-//! canonical log-scale [latency](latency) bucket layout with quantile
+//! canonical log-scale [latency] bucket layout with quantile
 //! estimation, and a [`Provenance`] block for artifact sidecars.
 //!
 //! # Cost model
 //!
-//! Everything is off by default. Until [`enable`] is called, [`span`]
-//! and the `*_add`/`*_set`/`*_record` helpers early-out after one
-//! relaxed atomic load — no allocation, no locks, no clock reads — so
-//! instrumented hot paths cost near-nothing in ordinary runs, and the
-//! simulation results they produce are *never* affected either way.
+//! Everything is off by default. Until [`enable`] is called,
+//! [`span`](fn@span) and the `*_add`/`*_set`/`*_record` helpers
+//! early-out after one relaxed atomic load — no allocation, no locks, no
+//! clock reads — so instrumented hot paths cost near-nothing in ordinary
+//! runs, and the simulation results they produce are *never* affected
+//! either way.
 //! While enabled, each by-name helper call locks the registry to find
 //! its instrument; call sites hot enough to notice hold a `static`
 //! [`CounterHandle`], which finds it once.

@@ -7,9 +7,9 @@
 //! work it is about to fold ([`add_work`]) and reports each shard as it
 //! completes ([`shard_done`]), whether the shard was *computed* or
 //! *restored* from a checkpoint. Like every other instrument in this
-//! crate, the helpers early-out on one relaxed load until [`enable`]
-//! (see [`crate::enabled`]) — a disabled run pays nothing and artifact
-//! bytes never read anything from here.
+//! crate, the helpers early-out on one relaxed load until
+//! [`enable`](crate::enable) (see [`crate::enabled`]) — a disabled run
+//! pays nothing and artifact bytes never read anything from here.
 //!
 //! # Determinism contract
 //!

@@ -90,7 +90,7 @@ impl<K: Eq + Hash + Copy, V: Clone> BoundedMemo<K, V> {
 
 /// Shared, thread-safe state behind all worker shards.
 ///
-/// The memo locks recover a poisoned guard: every [`BoundedMemo`]
+/// The memo locks recover a poisoned guard: every `BoundedMemo`
 /// update leaves a valid map at each step (at worst one entry is
 /// missing), so a panic while a lock is held must not fail every later
 /// `/v1/run` or `/v1/optimize`.

@@ -11,7 +11,7 @@
 //! * **`energy`** — the energy/power breakdown of an SoC model at an
 //!   operating point (Fig. 1's curves, pointwise).
 //!
-//! The wire model lives in [`ntc::api`](ntc::api): requests parse into
+//! The wire model lives in [`ntc::api`]: requests parse into
 //! [`QueryRequest`] (every schema problem is an
 //! [`NtcError`] naming the offending field) and evaluate against
 //! [`Models`], the server's shared [`CachedSoc`] instances, so repeated

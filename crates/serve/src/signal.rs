@@ -4,9 +4,10 @@
 //! exemption. There is no signal-handling facility in `std`, and the
 //! workspace takes no external dependencies, so the handler is
 //! registered straight against the C `signal()` that `std` already
-//! links. The handler body only stores to an [`AtomicBool`] — one of
-//! the few operations that is async-signal-safe. The acceptor sleeps in
-//! a blocking `accept()` and never sees the flag;
+//! links. The handler body only stores to an
+//! [`AtomicBool`](std::sync::atomic::AtomicBool) — one of the few
+//! operations that is async-signal-safe. The acceptor sleeps in a
+//! blocking `accept()` and never sees the flag;
 //! [`RunningServer::join`](crate::RunningServer::join) polls it on the
 //! caller's otherwise idle thread and then shuts the server down, which
 //! wakes the acceptor with a loopback connection.

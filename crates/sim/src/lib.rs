@@ -22,8 +22,6 @@
 //! * [`dma`] — the checkpoint DMA engine of Figure 6's OCEAN hardware:
 //!   block transfers between scratchpad and protected memory with stall
 //!   accounting and detection-driven aborts.
-//! * [`bist`] — March C- built-in self-test and voltage shmoo: the
-//!   measurement instrument behind Figure 3's per-bit failure maps.
 //! * [`fft`] — the paper's benchmark workload: a 1024-point fixed-point
 //!   radix-2 FFT, as a native reference implementation and as an assembly
 //!   program for the simulated core.
@@ -59,7 +57,6 @@
 #![warn(missing_docs)]
 
 pub mod asm;
-pub mod bist;
 pub mod dma;
 pub mod fft;
 pub mod fir;

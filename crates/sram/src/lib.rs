@@ -18,9 +18,6 @@
 //!   behind Figure 3's failure maps and Figure 4's nine-die population.
 //! * [`styles`] — the bit-cell styles compared in Table 1 (commercial 6T,
 //!   custom 6T, cell-based latch, cell-based AOI) and their per-bit areas.
-//! * [`canary`] — early-warning replica cells for the run-time
-//!   monitoring loop ("advanced monitoring, control and run-time error
-//!   mitigation").
 //!
 //! # Example
 //!
@@ -36,7 +33,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod canary;
 pub mod diemap;
 pub mod failure;
 pub mod styles;

@@ -1,7 +1,8 @@
 //! Per-shard checkpointing for the deterministic Monte-Carlo collectives.
 //!
-//! The engine's determinism contract — fixed [`MC_SHARDS`] layout,
-//! counter-based `Source::stream(seed, shard)` streams, ordered
+//! The engine's determinism contract — fixed
+//! [`MC_SHARDS`](crate::exec::MC_SHARDS) layout, counter-based
+//! `Source::stream(seed, shard)` streams, ordered
 //! [`Mergeable`] reduction — makes every shard's accumulator a **pure
 //! function of `(collective identity, shard index)`**. That purity is what
 //! this module cashes in: a shard computed yesterday, or by another

@@ -11,8 +11,6 @@
 //!   standard normal CDF [`phi`] and its inverse [`inv_phi`] (probit),
 //!   accurate deep into the tail where failure probabilities of 1e-20 must
 //!   still carry relative precision.
-//! * [`dist`] — the [`Gaussian`] distribution with tail and quantile
-//!   helpers used by the noise-margin models.
 //! * [`fit`] — least-squares fitting used to recover the paper's model
 //!   constants from synthetic measurement data: straight lines, probit-domain
 //!   lines (Eq. 4 of the paper) and the `A·(V0 − V)^k` access-failure power
@@ -35,8 +33,6 @@
 //!   accumulator serialization ([`ckpt::Persist`]), integrity-hashed shard
 //!   envelopes, and a pluggable [`ckpt::CheckpointSink`] so interrupted or
 //!   multi-worker sweeps resume bit-identically.
-//! * [`hist`] — fixed-bin histograms with terminal rendering for the
-//!   figure binaries.
 //! * [`sweep`] — voltage sweep helpers (`linspace`, `logspace`).
 //! * [`rng`] — deterministic random sampling (uniform, standard normal) so
 //!   every experiment in the workspace is reproducible from a seed.
@@ -47,14 +43,11 @@
 //! negative margin (i.e. fails):
 //!
 //! ```
-//! use ntc_stats::dist::Gaussian;
+//! use ntc_stats::phi;
 //!
-//! # fn main() -> Result<(), ntc_stats::dist::GaussianError> {
-//! let nm = Gaussian::new(0.2, 0.04)?;
-//! let p_fail = nm.cdf(0.0);
+//! // The margin sits 0.2 / 0.04 = 5 standard deviations above zero.
+//! let p_fail = phi((0.0 - 0.2) / 0.04);
 //! assert!(p_fail > 2.8e-7 && p_fail < 2.9e-7);
-//! # Ok(())
-//! # }
 //! ```
 
 // `deny` rather than `forbid`: the SoA lane kernel in `batch` carries one
@@ -66,15 +59,12 @@
 pub mod batch;
 pub mod ckpt;
 pub mod diag;
-pub mod dist;
 pub mod exec;
 pub mod fit;
-pub mod hist;
 pub mod math;
 pub mod mc;
 pub mod opt;
 pub mod rng;
 pub mod sweep;
 
-pub use dist::Gaussian;
 pub use math::{erf, erfc, inv_phi, ln_erfc, phi};

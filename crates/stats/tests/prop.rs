@@ -4,12 +4,10 @@ use ntc_stats::batch::{
     count_lane_below, count_normal_above_with_block, count_uniform_below_with_block,
 };
 use ntc_stats::ckpt::{put_u64, Persist, ShardCheckpoint};
-use ntc_stats::dist::Gaussian;
 use ntc_stats::exec::{
     mc_counter, mc_moments, mc_rate, par_map_with_threads, shard_bounds, MC_SHARDS,
 };
 use ntc_stats::fit::{fit_power_law, linear_fit};
-use ntc_stats::hist::Histogram;
 use ntc_stats::math::{erf, erf_block, erfc, erfc_block, inv_phi, ln_erfc, phi, phi_block};
 use ntc_stats::mc::tilted::{gauss_tail, gauss_tail_shards, TiltedCounter};
 use ntc_stats::mc::{Moments, TrialCounter};
@@ -74,17 +72,6 @@ proptest! {
         // math actually uses.
         let back = inv_phi(phi(z));
         prop_assert!((back - z).abs() < 1e-7, "z = {z}, back = {back}");
-    }
-
-    #[test]
-    fn gaussian_quantile_cdf_roundtrip(
-        mean in -2.0f64..2.0,
-        sigma in 0.001f64..3.0,
-        p in 1e-12f64..0.999,
-    ) {
-        let g = Gaussian::new(mean, sigma).unwrap();
-        let x = g.quantile(p);
-        prop_assert!((g.cdf(x) / p - 1.0).abs() < 1e-7);
     }
 
     #[test]
@@ -413,7 +400,7 @@ proptest! {
     }
 
     #[test]
-    fn counter_and_histogram_merge_exactly_associative(
+    fn counter_merge_exactly_associative(
         hits in prop::collection::vec(0u32..100, 3..12),
     ) {
         // Integer-count accumulators merge exactly, in any grouping.
@@ -488,19 +475,6 @@ proptest! {
         put_u64(&mut bad, trials);
         put_u64(&mut bad, trials + 1);
         prop_assert_eq!(TrialCounter::restore(&bad), None);
-    }
-
-    #[test]
-    fn histogram_persist_roundtrip_is_exact(
-        lo in -100.0f64..100.0,
-        span in 0.001f64..50.0,
-        nbins in 1usize..64,
-        xs in prop::collection::vec(-200.0f64..200.0, 0..100),
-    ) {
-        let mut h = Histogram::new(lo, lo + span, nbins);
-        h.extend(xs);
-        let back = Histogram::restore(&h.persist_bytes()).expect("restores");
-        prop_assert_eq!(back, h);
     }
 
     #[test]

@@ -16,10 +16,6 @@
 //! * [`inverter`] — inverter delay vs. supply voltage with its
 //!   process-variation spread (analytic sensitivity and Monte Carlo),
 //!   the model behind Figure 10.
-//! * [`scaling`] — the area/bit-count normalizations used by the paper's
-//!   Table 1 footnotes (scale ∝ total bits, scale ∝ (node ratio)²).
-//! * [`corners`] — process corners and the PVT/ageing margin stack behind
-//!   provider-specified voltage limits (the Section IV margin argument).
 //!
 //! Units are SI throughout: volts, seconds, farads, amperes, joules, meters
 //! (features in nanometers only where the name says so).
@@ -41,10 +37,8 @@
 #![warn(missing_docs)]
 
 pub mod card;
-pub mod corners;
 pub mod device;
 pub mod inverter;
-pub mod scaling;
 
 pub use card::{DeviceArchitecture, TechnologyCard};
 pub use device::Device;

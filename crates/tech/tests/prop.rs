@@ -3,7 +3,6 @@
 use ntc_tech::card::{self, TechnologyCard};
 use ntc_tech::device::Device;
 use ntc_tech::inverter::Inverter;
-use ntc_tech::scaling::{area_node_factor, dynamic_voltage_factor, scale_by_bits};
 use proptest::prelude::*;
 
 fn any_card() -> impl Strategy<Value = TechnologyCard> {
@@ -67,25 +66,6 @@ proptest! {
         let s1 = c.sigma_vth(area);
         let s2 = c.sigma_vth(area * factor);
         prop_assert!((s1 / s2 / factor.sqrt() - 1.0).abs() < 1e-9);
-    }
-
-    /// Scaling helpers satisfy their algebraic identities.
-    #[test]
-    fn scaling_identities(
-        bits_a in 1u64..1_000_000,
-        bits_b in 1u64..1_000_000,
-        node_a in 5.0f64..100.0,
-        node_b in 5.0f64..100.0,
-        v_a in 0.1f64..1.5,
-        v_b in 0.1f64..1.5,
-    ) {
-        // Round trips invert.
-        let f = scale_by_bits(bits_a, bits_b) * scale_by_bits(bits_b, bits_a);
-        prop_assert!((f - 1.0).abs() < 1e-9);
-        let f = area_node_factor(node_a, node_b) * area_node_factor(node_b, node_a);
-        prop_assert!((f - 1.0).abs() < 1e-9);
-        let f = dynamic_voltage_factor(v_a, v_b) * dynamic_voltage_factor(v_b, v_a);
-        prop_assert!((f - 1.0).abs() < 1e-9);
     }
 
     /// Leakage grows with supply (DIBL) on every card.

@@ -174,19 +174,3 @@ fn leakage_scaling_claim() {
     let ratio = m.leakage_power(1.1) / m.leakage_power(0.35);
     assert!(ratio > 8.0, "leakage ratio {ratio}");
 }
-
-/// Section IV's margin argument, quantified: the provider's 0.85 V
-/// retention spec decomposes into the typical measured limit plus the
-/// worst-case PVT/ageing/tester stack.
-#[test]
-fn commercial_spec_margin_decomposition() {
-    use ntc_sram::failure::RetentionLaw;
-    use ntc_tech::corners::MarginStack;
-    let typical = RetentionLaw::commercial_40nm().macro_retention_voltage(32 * 1024);
-    let stack = MarginStack::commercial_40nm_retention();
-    let spec = stack.specified_limit(typical);
-    assert!((spec - 0.85).abs() < 0.03, "reconstructed spec {spec}");
-    // Run-time monitoring recovers the corner+temp+ageing share — several
-    // hundred millivolts of the gap the paper exploits.
-    assert!(stack.recoverable_v() > 0.3);
-}
