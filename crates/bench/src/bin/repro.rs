@@ -41,6 +41,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ntc::artifact::diff::{diff_artifacts, Tolerance};
+use ntc::artifact::json::quoted;
 use ntc::artifact::{Artifact, Check};
 use ntc::repro::{find_id, registry, run_one, ExperimentId, RunCtx, Scale};
 use ntc::store::{ArtifactKey, Store};
@@ -1183,12 +1184,12 @@ fn render_status_json(store: &Store, fleet: &ntc::journal::FleetStatus, now_ms: 
         .iter()
         .map(|w| {
             format!(
-                "{{\"worker\":\"{}\",\"pid\":{},\"lo\":{},\"hi\":{},\"state\":\"{}\",\
+                "{{\"worker\":{},\"pid\":{},\"lo\":{},\"hi\":{},\"state\":\"{}\",\
                  \"flush_ms\":{},\"shards_done\":{},\"shards_total\":{},\"trials_done\":{},\
                  \"trials_total\":{},\"restored\":{},\"computed\":{},\"samples_per_sec\":{:.3},\
                  \"eta_secs\":{},\"heartbeat_age_ms\":{},\"checkpoint_age_ms\":{},\
                  \"events\":{},\"corrupt_lines\":{},\"done\":{}}}",
-                w.worker,
+                quoted(&w.worker),
                 w.pid,
                 w.lo,
                 w.hi,
@@ -1220,11 +1221,11 @@ fn render_status_json(store: &Store, fleet: &ntc::journal::FleetStatus, now_ms: 
         merged.eta_secs()
     };
     format!(
-        "{{\"schema\":\"ntc.status.v1\",\"store\":\"{}\",\"now_ms\":{now_ms},\
+        "{{\"schema\":\"ntc.status.v1\",\"store\":{},\"now_ms\":{now_ms},\
          \"workers\":[{}],\"claims\":[{}],\"checkpoints\":{},\"checkpoint_bytes\":{},\
          \"fleet\":{{\"shards_done\":{},\"shards_total\":{},\"trials_done\":{},\
          \"trials_total\":{},\"samples_per_sec\":{:.3},\"eta_secs\":{},\"stalled\":{}}}}}\n",
-        store.root().display(),
+        quoted(&store.root().display().to_string()),
         workers.join(","),
         claims.join(","),
         fleet.checkpoints,

@@ -513,6 +513,24 @@ fn status_aggregates_worker_journals_in_text_and_json() {
 }
 
 #[test]
+fn status_json_escapes_the_store_path() {
+    use ntc::artifact::json::JsonValue;
+    let store = scratch("status_\"quoted\\path");
+    let store_s = store.to_str().unwrap();
+    let out = repro_clean_env(&[
+        "run", "fig5", "--quick", "--store", store_s, "--shards", "0..8",
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    let out = repro_clean_env(&["status", "--store", store_s, "--format", "json"]);
+    assert!(out.status.success(), "{out:?}");
+    let text = stdout(&out);
+    let doc = ntc::artifact::json::parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+    assert_eq!(doc.get("store").and_then(JsonValue::as_str), Some(store_s));
+    let workers = doc.get("workers").and_then(JsonValue::as_arr).expect("workers array");
+    assert_eq!(workers.len(), 1, "{text}");
+}
+
+#[test]
 fn status_without_a_store_is_a_usage_error() {
     let out = repro_clean_env(&["status"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");

@@ -241,6 +241,14 @@ pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// `s` as a quoted JSON string: the bytes [`write_str`] writes, for
+/// encoders that format a document around it.
+pub fn quoted(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    write_str(&mut out, s);
+    out
+}
+
 /// A parse or schema error, with the byte offset where parsing stopped.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JsonError {

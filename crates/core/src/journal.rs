@@ -56,6 +56,7 @@
 //! them, so a sweep with journaling on is byte-identical to one with it
 //! off.
 
+use crate::artifact::json::quoted;
 use crate::store::Store;
 use ntc_obs::ProgressSnapshot;
 use ntc_stats::ckpt::{fnv64, CheckpointSink, CollectiveKey, ShardCheckpoint};
@@ -107,11 +108,6 @@ pub fn verify_line(line: &str) -> Option<&str> {
     }
 }
 
-/// Minimal JSON string escaping for the hand-rolled event writers.
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 struct Buf {
     lines: Vec<String>,
     seq: u64,
@@ -140,10 +136,10 @@ impl Journal {
             buf: Mutex::new(Buf { lines: Vec::new(), seq: 0 }),
         };
         j.push(&format!(
-            r#""ev":"meta","worker":"{}","pid":{pid},"lo":{lo},"hi":{hi},"flush_ms":{},"version":"{}""#,
-            esc(&j.worker),
+            r#""ev":"meta","worker":{},"pid":{pid},"lo":{lo},"hi":{hi},"flush_ms":{},"version":{}"#,
+            quoted(&j.worker),
             j.flush_ms,
-            esc(&crate::store::store_version()),
+            quoted(&crate::store::store_version()),
         ));
         j.push(&format!(r#""ev":"claim","lo":{lo},"hi":{hi}"#));
         j.flush();
@@ -187,14 +183,14 @@ impl Journal {
 
     /// Records that a shard's compute is starting (buffer only).
     pub fn shard_start(&self, scope: &str, shard: u32) {
-        self.push(&format!(r#""ev":"shard_start","scope":"{}","shard":{shard}"#, esc(scope)));
+        self.push(&format!(r#""ev":"shard_start","scope":{},"shard":{shard}"#, quoted(scope)));
     }
 
     /// Records one checkpoint flushed to the store (buffer only).
     pub fn ckpt_flush(&self, scope: &str, shard: u32, bytes: usize) {
         self.push(&format!(
-            r#""ev":"ckpt_flush","scope":"{}","shard":{shard},"bytes":{bytes}"#,
-            esc(scope)
+            r#""ev":"ckpt_flush","scope":{},"shard":{shard},"bytes":{bytes}"#,
+            quoted(scope)
         ));
     }
 
@@ -203,8 +199,8 @@ impl Journal {
     /// of a corrupt checkpoint whose start was never seen).
     pub fn shard_done(&self, scope: &str, shard: u32, trials: u64, samples_per_sec: f64) {
         self.push(&format!(
-            r#""ev":"shard_done","scope":"{}","shard":{shard},"trials":{trials},"samples_per_sec":{:.3}"#,
-            esc(scope),
+            r#""ev":"shard_done","scope":{},"shard":{shard},"trials":{trials},"samples_per_sec":{:.3}"#,
+            quoted(scope),
             samples_per_sec.max(0.0),
         ));
     }

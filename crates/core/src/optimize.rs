@@ -332,7 +332,11 @@ where
             restarts: conv.restarts,
             sweeps: conv.sweeps,
             evaluations: conv.evaluations,
-            best_per_restart: conv.best_per_restart,
+            best_per_restart: conv
+                .best_per_restart
+                .into_iter()
+                .map(|v| v.is_finite().then_some(v))
+                .collect(),
         },
     }
 }

@@ -63,10 +63,7 @@ pub enum Scale {
 impl Scale {
     /// Lowercase name, as recorded in provenance sidecars.
     pub fn name(self) -> &'static str {
-        match self {
-            Scale::Paper => "paper",
-            Scale::Quick => "quick",
-        }
+        crate::api::WireName::wire_name(self)
     }
 }
 
@@ -253,6 +250,10 @@ macro_rules! experiment_registry {
             /// Every experiment id, in paper (registry) order.
             pub const ALL: [ExperimentId; experiment_registry!(@count $($variant)*)] =
                 [$(ExperimentId::$variant),*];
+
+            /// The stable string form of every id, in registry order.
+            pub const NAMES: [&'static str; experiment_registry!(@count $($variant)*)] =
+                [$($name),*];
 
             /// The stable string form (also the artifact id).
             pub fn as_str(self) -> &'static str {
@@ -1917,7 +1918,7 @@ impl Experiment for AblationOptimize {
         "Autotuner over banks x words x cells x schemes x VDD rediscovers the Table 2 points"
     }
     fn run(&self, ctx: &RunCtx) -> Artifact {
-        use crate::api::{scheme_str, OptimizeRequest};
+        use crate::api::{OptimizeRequest, WireName};
         use crate::optimize::optimize;
         use ntc_sram::styles::CellStyle;
 
@@ -1957,14 +1958,14 @@ impl Experiment for AblationOptimize {
                 let best = resp.best.expect("paper design space is feasible");
                 table.push_row(vec![
                     Cell::Text(label.into()),
-                    Cell::Text(scheme_str(scheme).into()),
+                    Cell::Text(scheme.wire_name().into()),
                     Cell::Num(best.vdd),
                     Cell::Num(f64::from(best.banks)),
                     Cell::Num(f64::from(best.words)),
                     Cell::Num(best.energy_per_access_pj),
                 ]);
                 artifact = artifact.with_anchor(
-                    &format!("rediscovered {} supply at {label}", scheme_str(scheme)),
+                    &format!("rediscovered {} supply at {label}", scheme.wire_name()),
                     "V",
                     best.vdd,
                     PaperRef::exact(want),
@@ -1981,7 +1982,7 @@ impl Experiment for AblationOptimize {
             let best = resp.best.clone().expect("paper design space is feasible");
             table.push_row(vec![
                 Cell::Text(label.into()),
-                Cell::Text(format!("best: {}", scheme_str(best.scheme))),
+                Cell::Text(format!("best: {}", best.scheme.wire_name())),
                 Cell::Num(best.vdd),
                 Cell::Num(f64::from(best.banks)),
                 Cell::Num(f64::from(best.words)),
@@ -2021,7 +2022,7 @@ impl Experiment for AblationOptimize {
                             .best_per_restart
                             .iter()
                             .enumerate()
-                            .map(|(i, &v)| (i as f64, v))
+                            .map(|(i, v)| (i as f64, v.unwrap_or(f64::INFINITY)))
                             .collect(),
                     ))
                     .with_scalar(

@@ -1,5 +1,5 @@
-//! Pluggable sinks: Chrome `trace_event` JSON, JSON-lines events, a
-//! plain-text summary, and a metrics snapshot document.
+//! Pluggable sinks: Chrome `trace_event` JSON, a metrics snapshot
+//! document, and the Prometheus text exposition.
 //!
 //! All emitters are pure functions of already-collected records, so the
 //! same records always render to the same bytes. JSON is written with
@@ -23,7 +23,7 @@ fn json_f64(v: f64) -> String {
 }
 
 /// Escapes a string for a JSON string literal (without quotes).
-fn json_escape(s: &str) -> String {
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -240,131 +240,6 @@ pub fn metrics_prom(snapshot: &MetricsSnapshot) -> String {
     out
 }
 
-/// Renders spans and metrics as JSON-lines: one `{"type":"span",...}`
-/// or `{"type":"metric",...}` object per line.
-#[must_use]
-pub fn json_lines(spans: &[SpanRecord], snapshot: &MetricsSnapshot) -> String {
-    let mut out = String::new();
-    for s in spans {
-        let _ = write!(
-            out,
-            "{{\"type\":\"span\",\"name\":\"{}\",\"id\":{},\"thread\":{},\"start_ns\":{},\"dur_ns\":{}",
-            json_escape(&s.name),
-            s.id,
-            s.thread,
-            s.start_ns,
-            s.dur_ns
-        );
-        if let Some(parent) = s.parent {
-            let _ = write!(out, ",\"parent\":{parent}");
-        }
-        if let Some(shard) = s.shard {
-            let _ = write!(out, ",\"shard\":{shard}");
-        }
-        if let Some(req) = s.req {
-            let _ = write!(out, ",\"req\":{req}");
-        }
-        if s.items > 0 {
-            let _ = write!(out, ",\"items\":{}", s.items);
-        }
-        out.push_str("}\n");
-    }
-    for (name, value) in &snapshot.entries {
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"metric\",\"name\":\"{}\",\"metric\":{}}}",
-            json_escape(name),
-            metric_value_json(value)
-        );
-    }
-    out
-}
-
-/// Per-span-name aggregate used by the text summary.
-struct NameAgg {
-    count: u64,
-    total_ns: u64,
-    items: u64,
-    shards: u64,
-}
-
-/// Renders a human-oriented summary: spans aggregated by name (count,
-/// total/mean time, items/sec) followed by every metric.
-#[must_use]
-pub fn text_summary(spans: &[SpanRecord], snapshot: &MetricsSnapshot) -> String {
-    let mut by_name: Vec<(&str, NameAgg)> = Vec::new();
-    for s in spans {
-        let agg = match by_name.iter_mut().find(|(n, _)| *n == s.name) {
-            Some((_, agg)) => agg,
-            None => {
-                by_name.push((
-                    &s.name,
-                    NameAgg { count: 0, total_ns: 0, items: 0, shards: 0 },
-                ));
-                &mut by_name.last_mut().unwrap().1
-            }
-        };
-        agg.count += 1;
-        agg.total_ns += s.dur_ns;
-        agg.items += s.items;
-        agg.shards += u64::from(s.shard.is_some());
-    }
-    by_name.sort_by(|a, b| a.0.cmp(b.0));
-
-    let mut out = String::new();
-    if !by_name.is_empty() {
-        out.push_str("spans\n");
-        let _ = writeln!(
-            out,
-            "  {:<34} {:>7} {:>12} {:>12} {:>14}",
-            "name", "count", "total ms", "mean ms", "items/s"
-        );
-        for (name, agg) in &by_name {
-            #[allow(clippy::cast_precision_loss)]
-            let total_ms = agg.total_ns as f64 / 1e6;
-            #[allow(clippy::cast_precision_loss)]
-            let mean_ms = total_ms / agg.count as f64;
-            #[allow(clippy::cast_precision_loss)]
-            let ips = if agg.items > 0 && agg.total_ns > 0 {
-                format!("{:.3e}", agg.items as f64 / (agg.total_ns as f64 * 1e-9))
-            } else {
-                "-".to_string()
-            };
-            let _ = writeln!(
-                out,
-                "  {name:<34} {:>7} {total_ms:>12.3} {mean_ms:>12.3} {ips:>14}",
-                agg.count
-            );
-        }
-    }
-    if !snapshot.entries.is_empty() {
-        out.push_str("metrics\n");
-        for (name, value) in &snapshot.entries {
-            match value {
-                MetricValue::Counter(n) => {
-                    let _ = writeln!(out, "  {name:<42} {n}");
-                }
-                MetricValue::Gauge(g) => {
-                    let _ = writeln!(out, "  {name:<42} {g}");
-                }
-                MetricValue::Histogram(h) => {
-                    let _ = write!(
-                        out,
-                        "  {name:<42} count={} buckets={:?}",
-                        h.count(),
-                        h.buckets
-                    );
-                    if h.ignored > 0 {
-                        let _ = write!(out, " ignored={}", h.ignored);
-                    }
-                    out.push('\n');
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,23 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn json_lines_one_object_per_line() {
-        let out = json_lines(&sample_spans(), &sample_metrics());
-        assert_eq!(out.lines().count(), 5);
-        for line in out.lines() {
-            assert!(line.starts_with('{') && line.ends_with('}'));
-        }
-    }
-
-    #[test]
-    fn text_summary_aggregates() {
-        let out = text_summary(&sample_spans(), &sample_metrics());
-        assert!(out.contains("exec.par_map.worker"));
-        assert!(out.contains("mc.samples"));
-        assert!(out.contains("4096"));
-    }
-
-    #[test]
     fn escape_and_nonfinite() {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(json_f64(f64::NAN), "null");
@@ -469,12 +327,13 @@ mod tests {
     #[test]
     fn span_req_is_emitted_only_when_present() {
         let trace = chrome_trace(&sample_spans());
-        assert!(trace.contains("\"req\":42"));
-        let lines = json_lines(&sample_spans(), &MetricsSnapshot { entries: vec![] });
-        let first = lines.lines().next().unwrap();
-        assert!(!first.contains("\"req\""), "span without req stays req-free: {first}");
-        let second = lines.lines().nth(1).unwrap();
-        assert!(second.contains("\"req\":42"));
+        let event = |name: &str| {
+            let key = format!("\"name\":\"{name}\"");
+            trace.lines().find(|l| l.contains(&key)).expect("one event line per span")
+        };
+        let outer = event("exec.par_map");
+        assert!(!outer.contains("\"req\""), "span without req stays req-free: {outer}");
+        assert!(event("exec.par_map.worker").contains("\"req\":42"));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The workspace's instrumentation layer: hierarchical [spans](mod@span)
 //! with RAII guards and monotonic clocks, typed [metrics] on lock-free
 //! `AtomicU64` cells, pluggable [sinks](export) (Chrome
-//! `trace_event`, JSON-lines, plain text, Prometheus exposition), a
+//! `trace_event`, a metrics JSON document, Prometheus exposition), a
 //! canonical log-scale [latency] bucket layout with quantile
 //! estimation, and a [`Provenance`] block for artifact sidecars.
 //!
@@ -64,9 +64,7 @@ pub mod progress;
 pub mod provenance;
 pub mod span;
 
-pub use export::{
-    chrome_trace, json_lines, metrics_json, metrics_prom, prom_escape, prom_name, text_summary,
-};
+pub use export::{chrome_trace, metrics_json, metrics_prom, prom_escape, prom_name};
 pub use latency::{latency_bounds_ms, log_bounds, LATENCY_MAX_MS, LATENCY_MIN_MS, LATENCY_PER_DECADE};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, MetricsSnapshot};
 pub use progress::ProgressSnapshot;

@@ -7,7 +7,7 @@
 //! off. Wall time and the counter snapshot are inherently run-specific;
 //! that is exactly why they live in the sidecar.
 
-use crate::export::metrics_json;
+use crate::export::{json_escape, metrics_json};
 use crate::metrics::MetricsSnapshot;
 use std::fmt::Write as _;
 
@@ -35,10 +35,10 @@ impl Provenance {
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"experiment\": \"{}\",", escape(&self.experiment));
+        let _ = writeln!(out, "  \"experiment\": \"{}\",", json_escape(&self.experiment));
         let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "  \"scale\": \"{}\",", escape(&self.scale));
-        let _ = writeln!(out, "  \"version\": \"{}\",", escape(&self.version));
+        let _ = writeln!(out, "  \"scale\": \"{}\",", json_escape(&self.scale));
+        let _ = writeln!(out, "  \"version\": \"{}\",", json_escape(&self.version));
         let _ = writeln!(out, "  \"threads\": {},", self.threads);
         let _ = writeln!(out, "  \"wall_ns\": {},", self.wall_ns);
         // Indent the metrics object under its key.
@@ -48,10 +48,6 @@ impl Provenance {
         out.push_str("}\n");
         out
     }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// A git-describe-style version string for the running binary.

@@ -32,7 +32,9 @@ use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Mutex, PoisonError};
 
-use ntc::api::{self, ErrorBody, OptimizeRequest, OptimizeResponse, QueryRequest, RunRequest};
+use ntc::api::{
+    self, ErrorBody, OptimizeRequest, OptimizeResponse, QueryRequest, RunRequest, WireName,
+};
 use ntc::artifact::json::{parse, JsonValue};
 use ntc::artifact::{Artifact, Check};
 use ntc::error::NtcError;
@@ -325,7 +327,10 @@ fn handle_artifact(req: &Request, route: &str, state: &ServerState) -> (u16, Str
         Ok(id) => id,
         Err(e) => return err_response(&e),
     };
-    let scale = match api::parse_scale(req.query_param("scale")) {
+    let scale = req
+        .query_param("scale")
+        .map_or(Ok(Scale::Quick), |s| Scale::decode_name(s, "scale"));
+    let scale = match scale {
         Ok(s) => s,
         Err(e) => return err_response(&e),
     };
@@ -348,7 +353,7 @@ fn handle_run(req: &Request, state: &ServerState) -> (u16, String) {
     #[allow(clippy::cast_precision_loss)]
     let response = JsonValue::Obj(vec![
         ("id".into(), JsonValue::Str(run.id.to_string())),
-        ("scale".into(), JsonValue::Str(api::scale_str(run.scale).into())),
+        ("scale".into(), JsonValue::Str(run.scale.name().into())),
         ("seed".into(), JsonValue::num(seed as f64)),
         ("artifact".into(), artifact.to_json_value()),
         ("checks".into(), JsonValue::Arr(checks.iter().map(check_json).collect())),
@@ -874,7 +879,7 @@ mod tests {
             let (status, body) = call(&post(path, "{not json"), &state);
             assert_eq!(status, 400, "{path}");
             let err = ErrorBody::from_json(&body).expect("structured error");
-            assert_eq!(err.kind, "malformed_json", "{path}");
+            assert_eq!(err.error.kind, "malformed_json", "{path}");
         }
     }
 
@@ -1056,5 +1061,108 @@ mod tests {
         assert_eq!(route_label("/v1"), "other");
         assert_eq!(route_label("/anything-else"), "other");
         assert_eq!(route_label(""), "other");
+    }
+
+    /// Every bad body decodes to a pinned `(kind, param or field, HTTP
+    /// status)`; an `ok` row decodes. Every field decodes by one rule:
+    /// absent or `null` takes the default, else `missing_field`; a wrong
+    /// type is an `invalid_param` naming the field.
+    #[test]
+    fn bad_bodies_answer_pinned_errors() {
+        let corpus: &[(&str, &str, &str, &str, u16)] = &[
+            ("run", r#"[]"#, "invalid_param", "RunRequest", 400),
+            ("run", r#"{"scale":"quick"}"#, "missing_field", "id", 400),
+            ("run", r#"{"id":7}"#, "invalid_param", "id", 400),
+            ("run", r#"{"id":null}"#, "missing_field", "id", 400),
+            ("run", r#"{"id":"fig99"}"#, "unknown_experiment", "", 404),
+            ("run", r#"{"id":"fig6","scale":"huge"}"#, "invalid_param", "scale", 400),
+            ("run", r#"{"id":"fig6","scale":3}"#, "invalid_param", "scale", 400),
+            ("run", r#"{"id":"fig6","scale":null}"#, "ok", "", 200),
+            ("run", r#"{"id":"fig6","seed":-1}"#, "invalid_param", "seed", 400),
+            ("run", r#"{"id":"fig6","seed":1.5}"#, "invalid_param", "seed", 400),
+            ("run", r#"{"id":"fig6","seed":"7"}"#, "invalid_param", "seed", 400),
+            ("query", r#"7"#, "invalid_param", "QueryRequest", 400),
+            ("query", r#"{}"#, "missing_field", "kind", 400),
+            ("query", r#"{"kind":null}"#, "missing_field", "kind", 400),
+            ("query", r#"{"kind":7}"#, "invalid_param", "kind", 400),
+            ("query", r#"{"kind":"power"}"#, "unsupported", "", 400),
+            ("query", r#"{"id":7,"kind":"vmin","scheme":"ocean"}"#, "invalid_param", "id", 400),
+            ("query", r#"{"kind":"ber","memory":"cell_based_40nm","vdd":0.4}"#, "missing_field", "law", 400),
+            ("query", r#"{"kind":"ber","law":"sideways","memory":"cell_based_40nm","vdd":0.4}"#, "invalid_param", "law", 400),
+            ("query", r#"{"kind":"ber","law":"access","memory":7,"vdd":0.4}"#, "invalid_param", "memory", 400),
+            ("query", r#"{"kind":"ber","law":"access","memory":"cell_based_65nm","vdd":0.4}"#, "invalid_param", "memory", 400),
+            ("query", r#"{"kind":"ber","law":"access","memory":"cell_based_40nm","vdd":-0.1}"#, "invalid_param", "vdd", 400),
+            ("query", r#"{"kind":"ber","law":"access","memory":"cell_based_40nm","vdd":"inf"}"#, "invalid_param", "vdd", 400),
+            ("query", r#"{"kind":"ber","law":"access","memory":"cell_based_40nm"}"#, "missing_field", "vdd", 400),
+            ("query", r#"{"kind":"vmin"}"#, "missing_field", "scheme", 400),
+            ("query", r#"{"kind":"vmin","scheme":"turbo"}"#, "invalid_param", "scheme", 400),
+            ("query", r#"{"kind":"vmin","scheme":"ocean","memory":"cell_based_65nm"}"#, "invalid_param", "memory", 400),
+            ("query", r#"{"kind":"vmin","scheme":"ocean","memory":null}"#, "ok", "", 200),
+            ("query", r#"{"kind":"vmin","scheme":"ocean","fit_target":7.0}"#, "invalid_param", "fit_target", 400),
+            ("query", r#"{"kind":"vmin","scheme":"ocean","frequency_hz":0}"#, "invalid_param", "frequency_hz", 400),
+            ("query", r#"{"kind":"vmin","scheme":"ocean","grid":7}"#, "invalid_param", "grid", 400),
+            ("query", r#"{"kind":"vmin","scheme":"ocean","grid":"coarse"}"#, "invalid_param", "grid", 400),
+            ("query", r#"{"kind":"energy","vdd":0.5}"#, "missing_field", "model", 400),
+            ("query", r#"{"kind":"energy","model":"gpu","vdd":0.5}"#, "invalid_param", "model", 400),
+            ("query", r#"{"kind":"energy","model":"cots_40nm","vdd":0.5,"frequency_hz":-1}"#, "invalid_param", "frequency_hz", 400),
+            ("optimize", r#"[]"#, "invalid_param", "OptimizeRequest", 400),
+            ("optimize", r#"{}"#, "missing_field", "constraints", 400),
+            ("optimize", r#"{"constraints":7}"#, "invalid_param", "constraints", 400),
+            ("optimize", r#"{"constraints":{}}"#, "missing_field", "frequency_hz", 400),
+            ("optimize", r#"{"constraints":{"frequency_hz":0}}"#, "invalid_param", "frequency_hz", 400),
+            ("optimize", r#"{"constraints":{"frequency_hz":290e3,"fit_target":2}}"#, "invalid_param", "fit_target", 400),
+            ("optimize", r#"{"constraints":{"frequency_hz":290e3,"min_words":0}}"#, "invalid_param", "min_words", 400),
+            ("optimize", r#"{"constraints":{"frequency_hz":290e3,"min_words":1.5}}"#, "invalid_param", "min_words", 400),
+            ("optimize", r#"{"constraints":{"frequency_hz":290e3,"min_words":5e9}}"#, "invalid_param", "min_words", 400),
+            ("optimize", r#"{"constraints":{"frequency_hz":290e3},"objective":{"energy":-1}}"#, "invalid_param", "objective", 400),
+            ("optimize", r#"{"constraints":{"frequency_hz":290e3},"objective":{"energy":0,"delay":0,"area":0}}"#, "invalid_param", "objective", 400),
+            ("optimize", r#"{"constraints":{"frequency_hz":290e3},"objective":[]}"#, "invalid_param", "objective", 400),
+            ("optimize", r#"{"constraints":{"frequency_hz":290e3},"space":[]}"#, "invalid_param", "space", 400),
+            ("optimize", r#"{"constraints":{"frequency_hz":290e3},"space":{"banks":[3]}}"#, "invalid_param", "banks", 400),
+            ("optimize", r#"{"constraints":{"frequency_hz":290e3},"space":{"banks":7}}"#, "invalid_param", "banks", 400),
+            ("optimize", r#"{"constraints":{"frequency_hz":290e3},"space":{"words":[]}}"#, "invalid_param", "space", 400),
+            ("optimize", r#"{"constraints":{"frequency_hz":290e3},"space":{"words":[0]}}"#, "invalid_param", "words", 400),
+            ("optimize", r#"{"constraints":{"frequency_hz":290e3},"space":{"words":["x"]}}"#, "invalid_param", "words", 400),
+            ("optimize", r#"{"constraints":{"frequency_hz":290e3},"space":{"cells":["cell_based_latch_65"]}}"#, "invalid_param", "cells", 400),
+            ("optimize", r#"{"constraints":{"frequency_hz":290e3},"space":{"cells":[7]}}"#, "invalid_param", "cells", 400),
+            ("optimize", r#"{"constraints":{"frequency_hz":290e3},"space":{"schemes":["turbo"]}}"#, "invalid_param", "schemes", 400),
+            ("optimize", r#"{"constraints":{"frequency_hz":290e3},"space":{"vdd":{"lo":0.9,"hi":0.3}}}"#, "invalid_param", "vdd", 400),
+            ("optimize", r#"{"constraints":{"frequency_hz":290e3},"space":{"vdd":{"grid":7}}}"#, "invalid_param", "grid", 400),
+            ("optimize", r#"{"constraints":{"frequency_hz":290e3},"space":{"vdd":7}}"#, "invalid_param", "vdd", 400),
+            ("optimize", r#"{"constraints":{"frequency_hz":290e3},"restarts":0}"#, "invalid_param", "restarts", 400),
+            ("optimize", r#"{"constraints":{"frequency_hz":290e3},"seed":-3}"#, "invalid_param", "seed", 400),
+            ("optimize", r#"{"constraints":{"frequency_hz":290e3},"space":{"banks":[1,2,4,8,16,32,64,128,256,512,1024,2048,4096,8192,16384,32768,65536,131072,262144,524288,1048576,2097152,4194304,8388608,16777216,1,2,4,8,16,32,64,128,256,512,1024,2048,4096,8192,16384,32768,65536,131072,262144,524288,1048576,2097152,4194304,8388608,16777216,1,2,4,8,16,32,64,128,256,512,1024,2048,4096,8192,16384,32768]}}"#, "invalid_param", "banks", 400),
+            ("response", r#"{}"#, "missing_field", "schema", 400),
+            ("response", r#"{"schema":"ntc.optimize.v2"}"#, "unsupported", "", 400),
+            ("response", r#"{"schema":"ntc.optimize.v1"}"#, "missing_field", "request_hash", 400),
+            ("response", r#"{"schema":"ntc.optimize.v1","request_hash":"ab"}"#, "missing_field", "feasible", 400),
+            ("response", r#"{"schema":"ntc.optimize.v1","request_hash":"ab","feasible":"yes"}"#, "invalid_param", "feasible", 400),
+            ("response", r#"{"schema":"ntc.optimize.v1","request_hash":"ab","feasible":false,"best":null}"#, "missing_field", "convergence", 400),
+            ("response", r#"{"schema":"ntc.optimize.v1","request_hash":"ab","feasible":false,"convergence":{"restarts":0,"sweeps":0,"evaluations":0,"best_per_restart":[]}}"#, "missing_field", "best", 400),
+            ("response", r#"{"schema":"ntc.optimize.v1","request_hash":"ab","feasible":false,"best":null,"convergence":{"restarts":1}}"#, "missing_field", "sweeps", 400),
+            ("response", r#"{"schema":"ntc.optimize.v1","request_hash":"ab","feasible":false,"best":null,"convergence":{"restarts":1,"sweeps":0,"evaluations":0}}"#, "missing_field", "best_per_restart", 400),
+            ("response", r#"{"schema":"ntc.optimize.v1","request_hash":"ab","feasible":true,"best":{"cell":"custom_6t"},"convergence":{"restarts":1,"sweeps":0,"evaluations":0,"best_per_restart":[null]}}"#, "missing_field", "scheme", 400),
+        ];
+        for &(dto, body, kind, param, status) in corpus {
+            let v = parse(body).expect("corpus bodies are JSON");
+            let decoded = match dto {
+                "run" => RunRequest::from_json_value(&v).map(drop),
+                "query" => QueryRequest::from_json_value(&v).map(drop),
+                "optimize" => OptimizeRequest::from_json_value(&v).map(drop),
+                _ => OptimizeResponse::from_json_value(&v).map(drop),
+            };
+            let got = match &decoded {
+                Ok(()) => ("ok", "", 200),
+                Err(e) => {
+                    let param = match e {
+                        NtcError::InvalidParam { param, .. } => param.as_str(),
+                        NtcError::MissingField { field } => field.as_str(),
+                        _ => "",
+                    };
+                    (e.kind(), param, status_of(e))
+                }
+            };
+            assert_eq!(got, (kind, param, status), "{dto} {body}: {decoded:?}");
+        }
     }
 }

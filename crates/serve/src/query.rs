@@ -20,7 +20,9 @@
 //! request's correlation `id` through to the response item — which is
 //! how batched `/v1/query` responses stay attributable per item.
 
-use ntc::api::{positive, EnergyModel, LawKind, Memory, QueryKind, QueryRequest, QueryResponse};
+use ntc::api::{
+    Check, EnergyModel, LawKind, Memory, QueryKind, QueryRequest, QueryResponse, QueryResult,
+};
 use ntc::error::NtcError;
 use ntc::fit::FitSolver;
 use ntc_memcalc::cache::CachedSoc;
@@ -70,13 +72,17 @@ impl Models {
 /// parameters: equal queries produce equal JSON, bit for bit, from any
 /// worker shard — the memo table only changes *when* the model is
 /// walked, never what it returns.
+///
+/// The decoder already ran [`QueryKind`]'s [`Check`], but
+/// [`QueryRequest`]'s fields are public, so a request built directly can
+/// skip the decoder; `eval` runs the same check, because the models
+/// assert on inputs outside their domain.
 pub fn eval(query: &QueryRequest, models: &Models) -> Result<QueryResponse, NtcError> {
-    let id = query.id.clone();
-    match query.kind {
+    query.kind.check()?;
+    let result = match query.kind {
         QueryKind::Ber { law, memory, vdd } => {
-            let vdd = finite_positive("vdd", vdd)?;
             let p = match law {
-                LawKind::Access => access_law(memory)?.p_bit(vdd),
+                LawKind::Access => access_law(memory).p_bit(vdd),
                 LawKind::Retention => {
                     let l = match memory {
                         Memory::Commercial40 => RetentionLaw::commercial_40nm(),
@@ -86,20 +92,10 @@ pub fn eval(query: &QueryRequest, models: &Models) -> Result<QueryResponse, NtcE
                     l.p_bit(vdd)
                 }
             };
-            Ok(QueryResponse::Ber { id, law, memory, vdd, p_bit: p })
+            QueryResult::Ber { law, memory, vdd, p_bit: p }
         }
         QueryKind::Vmin { scheme, memory, fit_target, frequency_hz, grid } => {
-            // Parsing rejects this too, but a hand-built request can carry
-            // any value, and `FitSolver::new` asserts the range.
-            if !(fit_target > 0.0 && fit_target < 1.0) {
-                return Err(NtcError::invalid_param(
-                    "fit_target",
-                    format!("must be in (0, 1), got {fit_target}"),
-                ));
-            }
-            let frequency_hz =
-                frequency_hz.map(|f| finite_positive("frequency_hz", f)).transpose()?;
-            let solver = FitSolver::new(access_law(memory)?, fit_target).with_grid(grid);
+            let solver = FitSolver::new(access_law(memory), fit_target).with_grid(grid);
             let max_p_bit = solver.max_p_bit(scheme);
             let (error_constrained, performance_constrained, operating) = match frequency_hz {
                 None => (
@@ -120,8 +116,7 @@ pub fn eval(query: &QueryRequest, models: &Models) -> Result<QueryResponse, NtcE
                     (solved.error_constrained, solved.performance_constrained, solved.operating)
                 }
             };
-            Ok(QueryResponse::Vmin {
-                id,
+            QueryResult::Vmin {
                 scheme,
                 memory,
                 fit_target,
@@ -130,12 +125,9 @@ pub fn eval(query: &QueryRequest, models: &Models) -> Result<QueryResponse, NtcE
                 error_constrained,
                 performance_constrained,
                 operating,
-            })
+            }
         }
         QueryKind::Energy { model, vdd, frequency_hz } => {
-            let vdd = finite_positive("vdd", vdd)?;
-            let frequency_hz =
-                frequency_hz.map(|f| finite_positive("frequency_hz", f)).transpose()?;
             let cached = match model {
                 EnergyModel::Cots40 => &models.cots,
                 EnergyModel::CellBased40 => &models.cell,
@@ -154,8 +146,7 @@ pub fn eval(query: &QueryRequest, models: &Models) -> Result<QueryResponse, NtcE
                     cached.model().operating_point_at(vdd, f)
                 }
             };
-            Ok(QueryResponse::Energy {
-                id,
+            QueryResult::Energy {
                 model,
                 vdd,
                 f_max_hz: f_max,
@@ -164,34 +155,21 @@ pub fn eval(query: &QueryRequest, models: &Models) -> Result<QueryResponse, NtcE
                 dynamic_j: point.dynamic_j(),
                 leakage_j: point.leakage_j(),
                 power_w: point.power_w(),
-            })
+            }
         }
-    }
+    };
+    Ok(QueryResponse { id: query.id.clone(), result })
 }
 
-/// `v` if it is finite and positive, under the decoder's messages:
-/// [`QueryRequest`]'s fields are public, so a request built directly
-/// can skip the decoder, and the models assert on non-finite or
-/// non-positive inputs.
-fn finite_positive(field: &str, v: f64) -> Result<f64, NtcError> {
-    if v.is_finite() {
-        positive(field, v)
-    } else {
-        Err(NtcError::invalid_param(field, "expected a finite number"))
-    }
-}
-
-/// The access law of `memory`. Parsing rejects `cell_based_65nm`, but
-/// [`QueryRequest`]'s fields are public, so a request built directly can
-/// still name it.
-fn access_law(memory: Memory) -> Result<AccessLaw, NtcError> {
+/// The access law of `memory`. [`QueryKind`]'s check admits
+/// `cell_based_65nm`, which has none, only to retention lookups.
+fn access_law(memory: Memory) -> AccessLaw {
     match memory {
-        Memory::Commercial40 => Ok(AccessLaw::commercial_40nm()),
-        Memory::CellBased40 => Ok(AccessLaw::cell_based_40nm()),
-        Memory::CellBased65 => Err(NtcError::invalid_param(
-            "memory",
-            "no access law is characterized for cell_based_65nm (retention only)",
-        )),
+        Memory::Commercial40 => AccessLaw::commercial_40nm(),
+        Memory::CellBased40 => AccessLaw::cell_based_40nm(),
+        Memory::CellBased65 => {
+            unreachable!("QueryKind::check rejects access lookups on cell_based_65nm")
+        }
     }
 }
 

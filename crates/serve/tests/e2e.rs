@@ -713,8 +713,8 @@ fn every_endpoint_speaks_the_structured_error_body() {
         assert_eq!(resp.status, status, "{}", resp.body);
         let err = ntc::api::ErrorBody::from_json(&resp.body)
             .unwrap_or_else(|e| panic!("unstructured error body ({e}): {}", resp.body));
-        assert_eq!(err.kind, kind, "{}", resp.body);
-        assert!(!err.message.is_empty(), "error message must not be empty");
+        assert_eq!(err.error.kind, kind, "{}", resp.body);
+        assert!(!err.error.message.is_empty(), "error message must not be empty");
     }
     server.shutdown();
 }

@@ -17,7 +17,7 @@
 //! [`RetentionLaw`] used to synthesize it (verified by test).
 
 use crate::failure::RetentionLaw;
-use ntc_stats::exec::{par_map, par_map_slice};
+use ntc_stats::exec::par_map;
 use ntc_stats::rng::Source;
 use std::fmt;
 
@@ -322,20 +322,6 @@ impl DieMap {
         failures as f64 / bits as f64
     }
 
-    /// Population BER at each supply of `grid`, with the voltage points
-    /// fanned across cores — the whole Figure 4 curve in one call.
-    ///
-    /// Each grid point is an independent exact count over the same fixed
-    /// population, so the curve is identical to mapping
-    /// [`DieMap::population_ber`] serially over `grid`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dies` is empty.
-    pub fn population_ber_curve(dies: &[DieMap], grid: &[f64]) -> Vec<f64> {
-        assert!(!dies.is_empty(), "population is empty");
-        par_map_slice(grid, |&vdd| DieMap::population_ber(dies, vdd))
-    }
 }
 
 impl fmt::Display for DieMap {
@@ -445,17 +431,6 @@ mod tests {
         let par = DieMap::synthesize_population(&cfg, 9, 4);
         let ser = DieMap::synthesize_population_serial(&cfg, 9, 4);
         assert_eq!(par, ser, "parallel synthesis must be bit-identical");
-    }
-
-    #[test]
-    fn ber_curve_matches_pointwise_calls() {
-        let cfg = small_cfg();
-        let dies = DieMap::synthesize_population(&cfg, 5, 2);
-        let grid: Vec<f64> = (0..12).map(|i| 0.14 + i as f64 * 0.02).collect();
-        let curve = DieMap::population_ber_curve(&dies, &grid);
-        for (i, &v) in grid.iter().enumerate() {
-            assert_eq!(curve[i].to_bits(), DieMap::population_ber(&dies, v).to_bits());
-        }
     }
 
     #[test]

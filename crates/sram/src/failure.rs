@@ -25,7 +25,7 @@
 //! paper's Table 2 voltage solutions (see the method docs).
 
 use ntc_stats::exec::{mc_gauss_exceed, mc_rate, mc_rate_shards};
-use ntc_stats::math::{inv_phi, ln_phi, phi, phi_block};
+use ntc_stats::math::{inv_phi, ln_phi, phi};
 use ntc_stats::mc::TrialCounter;
 use std::fmt;
 
@@ -181,29 +181,6 @@ impl RetentionLaw {
         grid.iter()
             .map(|&vdd| mc_gauss_exceed(trials, seed, self.mean, self.sigma, vdd))
             .collect()
-    }
-
-    /// Batched [`p_bit`](Self::p_bit) over a supply grid, bit-identical to
-    /// the scalar method per element.
-    ///
-    /// Routes through [`ntc_stats::math::phi_block`] so the Gaussian-CDF
-    /// central polynomial vectorizes across grid points; sweep consumers
-    /// (die maps, canary calibration) evaluate whole voltage grids in one
-    /// call instead of a probit per point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vdds` and `out` differ in length.
-    pub fn p_bit_block(&self, vdds: &[f64], out: &mut [f64]) {
-        assert_eq!(vdds.len(), out.len(), "p_bit_block length mismatch");
-        const CHUNK: usize = 256;
-        let mut xs = [0.0f64; CHUNK];
-        for (vs, os) in vdds.chunks(CHUNK).zip(out.chunks_mut(CHUNK)) {
-            for (x, &v) in xs.iter_mut().zip(vs) {
-                *x = (self.mean - v) / self.sigma;
-            }
-            phi_block(&xs[..vs.len()], os);
-        }
     }
 
     /// The paper's Eq. 4 `d`-parameters `(d0, d1, d2)` equivalent to this
@@ -384,23 +361,6 @@ impl AccessLaw {
             .collect()
     }
 
-    /// Batched [`p_bit`](Self::p_bit) over a supply grid, bit-identical to
-    /// the scalar method per element.
-    ///
-    /// The power law itself is a scalar `powf` per point; this exists so
-    /// grid consumers can treat both failure laws uniformly (the retention
-    /// law's block evaluator is genuinely vectorized).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vdds` and `out` differ in length.
-    pub fn p_bit_block(&self, vdds: &[f64], out: &mut [f64]) {
-        assert_eq!(vdds.len(), out.len(), "p_bit_block length mismatch");
-        for (o, &v) in out.iter_mut().zip(vdds) {
-            *o = self.p_bit(v);
-        }
-    }
-
     /// The per-shard counters behind one [`AccessLaw::mc_ber_sweep`]
     /// grid point, in shard order.
     ///
@@ -543,31 +503,6 @@ mod tests {
             let scalar = mc_counter(50_000, 5, |src| src.uniform() < p);
             assert_eq!(*c, scalar, "access point {vdd}");
         }
-    }
-
-    #[test]
-    fn p_bit_blocks_match_the_scalar_laws_bit_for_bit() {
-        let grid: Vec<f64> = (0..600).map(|i| 0.05 + i as f64 * 0.002).collect();
-        let mut out = vec![0.0; grid.len()];
-
-        let ret = RetentionLaw::cell_based_40nm();
-        ret.p_bit_block(&grid, &mut out);
-        for (&v, &p) in grid.iter().zip(&out) {
-            assert_eq!(p.to_bits(), ret.p_bit(v).to_bits(), "retention at {v}");
-        }
-
-        let acc = AccessLaw::cell_based_40nm();
-        acc.p_bit_block(&grid, &mut out);
-        for (&v, &p) in grid.iter().zip(&out) {
-            assert_eq!(p.to_bits(), acc.p_bit(v).to_bits(), "access at {v}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn p_bit_block_rejects_mismatched_lengths() {
-        let mut out = [0.0; 2];
-        RetentionLaw::cell_based_40nm().p_bit_block(&[0.3; 3], &mut out);
     }
 
     #[test]

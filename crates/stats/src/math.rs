@@ -302,103 +302,6 @@ pub fn inv_phi(p: f64) -> f64 {
     x - u / (1.0 + x * u / 2.0)
 }
 
-// ---------------------------------------------------------------------
-// Block (structure-of-arrays) evaluators.
-//
-// Strategy: one *central pass* evaluates the branch that covers the bulk
-// of Monte-Carlo inputs — a pure rational polynomial with no calls and no
-// data-dependent control flow, which the compiler auto-vectorizes — and a
-// *fixup pass* overwrites the lanes that belong to another branch by
-// calling the scalar function. Because every branch runs exactly the same
-// scalar helper the element-wise functions use, the block results are
-// bit-identical to the scalar ones by construction, not by tolerance.
-// ---------------------------------------------------------------------
-
-/// Evaluates [`erf`] element-wise, bit-identical to the scalar function.
-///
-/// Lanes with `|x| < 0.5` (the central Cody branch) are computed in a
-/// branch-free vectorizable pass; tail and NaN lanes fall back to the
-/// scalar [`erf`].
-///
-/// # Panics
-///
-/// Panics if `xs` and `out` differ in length.
-pub fn erf_block(xs: &[f64], out: &mut [f64]) {
-    assert_eq!(xs.len(), out.len(), "erf_block length mismatch");
-    for (o, &x) in out.iter_mut().zip(xs) {
-        *o = erf_small(x);
-    }
-    for (o, &x) in out.iter_mut().zip(xs) {
-        if x.is_nan() || x.abs() >= 0.5 {
-            *o = erf(x);
-        }
-    }
-}
-
-/// Evaluates [`erfc`] element-wise, bit-identical to the scalar function.
-///
-/// Lanes with `-0.5 < x < 0.5` are computed in a branch-free vectorizable
-/// pass as `1 − erf_small(x)`; tail and NaN lanes fall back to the scalar
-/// [`erfc`].
-///
-/// # Panics
-///
-/// Panics if `xs` and `out` differ in length.
-pub fn erfc_block(xs: &[f64], out: &mut [f64]) {
-    assert_eq!(xs.len(), out.len(), "erfc_block length mismatch");
-    for (o, &x) in out.iter_mut().zip(xs) {
-        *o = 1.0 - erf_small(x);
-    }
-    for (o, &x) in out.iter_mut().zip(xs) {
-        if !(x > -0.5 && x < 0.5) {
-            *o = erfc(x);
-        }
-    }
-}
-
-/// Evaluates [`phi`] element-wise, bit-identical to the scalar function.
-///
-/// Chunks through a fixed stack buffer (no allocation), so the sequence
-/// `0.5 · erfc(−x/√2)` runs on [`erfc_block`]'s vectorized central pass
-/// wherever `|x| < √2/2`.
-///
-/// # Panics
-///
-/// Panics if `xs` and `out` differ in length.
-pub fn phi_block(xs: &[f64], out: &mut [f64]) {
-    assert_eq!(xs.len(), out.len(), "phi_block length mismatch");
-    const FRAC_1_SQRT_2: f64 = std::f64::consts::FRAC_1_SQRT_2;
-    const CHUNK: usize = 256;
-    let mut t = [0.0f64; CHUNK];
-    for (xc, oc) in xs.chunks(CHUNK).zip(out.chunks_mut(CHUNK)) {
-        let t = &mut t[..xc.len()];
-        for (ti, &x) in t.iter_mut().zip(xc) {
-            *ti = -x * FRAC_1_SQRT_2;
-        }
-        erfc_block(t, oc);
-        for o in oc.iter_mut() {
-            *o *= 0.5;
-        }
-    }
-}
-
-/// Evaluates [`inv_phi`] element-wise.
-///
-/// The probit's Halley polish re-enters the branchy [`erfc`] ladder, so
-/// this is a convenience loop over the scalar function (trivially
-/// bit-identical), not a SIMD kernel; it exists so SoA consumers like the
-/// tilted importance sampler stay in block form end to end.
-///
-/// # Panics
-///
-/// Panics if `ps` and `out` differ in length.
-pub fn inv_phi_block(ps: &[f64], out: &mut [f64]) {
-    assert_eq!(ps.len(), out.len(), "inv_phi_block length mismatch");
-    for (o, &p) in out.iter_mut().zip(ps) {
-        *o = inv_phi(p);
-    }
-}
-
 /// Bisects the bracket `[lo, hi]` for at most `max_steps` halvings and
 /// returns the final bracket. Each step evaluates `raise_lo(mid)` at
 /// `mid = 0.5 * (lo + hi)` and moves `lo` to `mid` when it holds, `hi`
@@ -614,80 +517,6 @@ mod tests {
         }
     }
 
-    /// Inputs that exercise every branch of the scalar ladder: both sides
-    /// of each ±0.5 branch point, the 1/16 exp-split grid, the x > 4 and
-    /// x > 26.7 regimes, denormals, zeros, infinities and NaN.
-    fn branch_structure_inputs() -> Vec<f64> {
-        let mut xs = vec![
-            0.0,
-            -0.0,
-            f64::MIN_POSITIVE,
-            -f64::MIN_POSITIVE,
-            5e-324,
-            -5e-324,
-            0.4999999999999999,
-            0.5,
-            0.5000000000000001,
-            -0.4999999999999999,
-            -0.5,
-            -0.5000000000000001,
-            4.0,
-            4.000000000000001,
-            26.7,
-            26.700000000000003,
-            30.0,
-            -30.0,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::NAN,
-        ];
-        for i in 0..1200 {
-            xs.push(-30.0 + i as f64 * 0.05);
-        }
-        xs
-    }
-
-    #[test]
-    fn erf_block_is_bit_identical_to_scalar() {
-        let xs = branch_structure_inputs();
-        let mut out = vec![0.0f64; xs.len()];
-        erf_block(&xs, &mut out);
-        for (&x, &got) in xs.iter().zip(&out) {
-            assert_eq!(got.to_bits(), erf(x).to_bits(), "erf_block({x})");
-        }
-    }
-
-    #[test]
-    fn erfc_block_is_bit_identical_to_scalar() {
-        let xs = branch_structure_inputs();
-        let mut out = vec![0.0f64; xs.len()];
-        erfc_block(&xs, &mut out);
-        for (&x, &got) in xs.iter().zip(&out) {
-            assert_eq!(got.to_bits(), erfc(x).to_bits(), "erfc_block({x})");
-        }
-    }
-
-    #[test]
-    fn phi_block_is_bit_identical_to_scalar_across_chunk_boundaries() {
-        // More than one 256-lane internal chunk, plus the special values.
-        let xs = branch_structure_inputs();
-        let mut out = vec![0.0f64; xs.len()];
-        phi_block(&xs, &mut out);
-        for (&x, &got) in xs.iter().zip(&out) {
-            assert_eq!(got.to_bits(), phi(x).to_bits(), "phi_block({x})");
-        }
-    }
-
-    #[test]
-    fn inv_phi_block_is_bit_identical_to_scalar() {
-        let ps = [0.0, 1e-300, 1e-15, 0.02425, 0.5, 0.9, 1.0 - 1e-9, 1.0, f64::NAN, -0.5, 1.5];
-        let mut out = [0.0f64; 11];
-        inv_phi_block(&ps, &mut out);
-        for (&p, &got) in ps.iter().zip(&out) {
-            assert_eq!(got.to_bits(), inv_phi(p).to_bits(), "inv_phi_block({p})");
-        }
-    }
-
     /// The fixed-step loop [`bisect`] replaces, kept as its reference.
     fn bisect_fixed(
         mut lo: f64,
@@ -789,10 +618,4 @@ mod tests {
         assert_eq!(evals, 1);
     }
 
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn block_evaluators_reject_length_mismatch() {
-        let mut out = [0.0f64; 2];
-        erf_block(&[1.0, 2.0, 3.0], &mut out);
-    }
 }

@@ -8,30 +8,12 @@ use ntc_stats::exec::{
     mc_counter, mc_moments, mc_rate, par_map_with_threads, shard_bounds, MC_SHARDS,
 };
 use ntc_stats::fit::{fit_power_law, linear_fit};
-use ntc_stats::math::{erf, erf_block, erfc, erfc_block, inv_phi, ln_erfc, phi, phi_block};
+use ntc_stats::math::{erf, erfc, inv_phi, ln_erfc, phi};
 use ntc_stats::mc::tilted::{gauss_tail, gauss_tail_shards, TiltedCounter};
 use ntc_stats::mc::{Moments, TrialCounter};
 use ntc_stats::rng::{lane_uniform, stream_key, Source};
 use ntc_stats::sweep::{linspace, logspace};
 use proptest::prelude::*;
-
-/// Fixed inputs pinning the scalar branch structure of the erf family:
-/// exact branch points, denormals, the underflow cutoffs and specials.
-/// Every bit-identity case appends these to its randomly drawn inputs.
-const ERF_SPECIALS: [f64; 12] = [
-    0.5,
-    -0.5,
-    0.0,
-    -0.0,
-    5e-324, // smallest denormal
-    -5e-324,
-    1.1125369292536007e-308, // mid-range denormal (MIN_POSITIVE / 2)
-    26.7,                    // erfc underflow boundary
-    27.0,
-    f64::INFINITY,
-    f64::NEG_INFINITY,
-    f64::NAN,
-];
 
 proptest! {
     #[test]
@@ -223,29 +205,6 @@ proptest! {
         prop_assert!((left.variance() - right.variance()).abs() < 1e-7);
         prop_assert_eq!(left.min().to_bits(), right.min().to_bits());
         prop_assert_eq!(left.max().to_bits(), right.max().to_bits());
-    }
-
-    #[test]
-    fn erf_erfc_blocks_are_bit_identical_to_scalar(
-        wide in prop::collection::vec(-30.0f64..30.0, 1..200),
-        near in prop::collection::vec(-0.6f64..0.6, 1..60), // dense around ±0.5
-    ) {
-        let mut xs = wide;
-        xs.extend(near);
-        xs.extend(ERF_SPECIALS);
-        let mut out = vec![0.0f64; xs.len()];
-        erf_block(&xs, &mut out);
-        for (&x, &got) in xs.iter().zip(&out) {
-            prop_assert_eq!(got.to_bits(), erf(x).to_bits(), "erf_block({})", x);
-        }
-        erfc_block(&xs, &mut out);
-        for (&x, &got) in xs.iter().zip(&out) {
-            prop_assert_eq!(got.to_bits(), erfc(x).to_bits(), "erfc_block({})", x);
-        }
-        phi_block(&xs, &mut out);
-        for (&x, &got) in xs.iter().zip(&out) {
-            prop_assert_eq!(got.to_bits(), phi(x).to_bits(), "phi_block({})", x);
-        }
     }
 
     #[test]

@@ -295,3 +295,44 @@ fn a_paper_scale_traced_pass_fits_the_span_ring() {
         assert_eq!(spans_named(&spans, &name).len(), 1, "{name} recorded once");
     }
 }
+
+#[test]
+fn provenance_escapes_control_characters_in_strings() {
+    let version = "v1\tx\ny\"z";
+    let p = ntc_obs::Provenance {
+        experiment: "fig6".into(),
+        seed: 7,
+        scale: "quick".into(),
+        version: version.into(),
+        threads: 1,
+        wall_ns: 1,
+        metrics: ntc_obs::metrics_snapshot(),
+    };
+    let doc = p.to_json();
+    assert!(
+        doc.lines().any(|l| l == r#"  "version": "v1\tx\ny\"z","#),
+        "version escaped on its own line: {doc}"
+    );
+    let parsed = parse(&doc).unwrap_or_else(|e| panic!("{e}: {doc}"));
+    assert_eq!(parsed.get("version").and_then(JsonValue::as_str), Some(version));
+}
+
+#[test]
+fn journal_escapes_control_characters_in_scopes() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("journal_control_chars");
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = ntc::store::Store::open(&dir).expect("store opens");
+    let journal = ntc::journal::Journal::new(&store, 0, 8, 1000);
+    journal.shard_start("fig5\t\u{1}\"scope\"", 0);
+    journal.shard_done("fig5\t\u{1}\"scope\"", 0, 10, 1.0);
+    assert!(journal.flush());
+    let (id, bytes) = &store.journals()[0];
+    assert!(
+        !bytes.iter().any(|&b| b < 0x20 && b != b'\n'),
+        "raw control character in the journal: {}",
+        String::from_utf8_lossy(bytes)
+    );
+    let st = ntc::journal::parse_worker_status(id, bytes);
+    assert_eq!(st.corrupt_lines, 0);
+    assert_eq!(st.events, 4, "meta, claim, shard_start, shard_done");
+}
