@@ -65,7 +65,7 @@ fn num(v: f64) -> String {
 /// Non-finite points are skipped; a flat or empty series renders as a
 /// midline. Coordinates are rounded to 0.01 px so the output is stable
 /// across platforms.
-pub fn sparkline(series: &Series) -> String {
+pub(crate) fn sparkline(series: &Series) -> String {
     const W: f64 = 260.0;
     const H: f64 = 56.0;
     const PAD: f64 = 4.0;

@@ -212,6 +212,53 @@ fn serve_answers_http_on_an_os_assigned_port() {
     let _ = child.wait();
 }
 
+#[test]
+fn serve_exits_zero_on_sigterm_after_a_clean_shutdown() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::time::{Duration, Instant};
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["serve", "--port", "0", "--workers", "2"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("serve starts");
+    // Kept open until the server exits, so no stdout write can fail.
+    let mut out = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut first = String::new();
+    out.read_line(&mut first).expect("bind line");
+    assert!(first.starts_with("listening on http://"), "{first:?}");
+
+    let kill = Command::new("kill")
+        .args(["-TERM", &child.id().to_string()])
+        .status()
+        .expect("kill runs");
+    assert!(kill.success());
+    // Bounded wait: a server that never wakes from accept() fails the
+    // test instead of hanging it.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("wait") {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("repro serve did not exit within 10 s of SIGTERM");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut err = String::new();
+    child
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_string(&mut err)
+        .expect("stderr");
+    assert_eq!(status.code(), Some(0), "{err}");
+    assert!(err.contains("shutdown complete"), "{err}");
+}
+
 // ---------------------------------------------------------------------
 // Store / checkpoint / worker-mode tests. These all use `fig5` — the
 // cheap experiment whose Monte-Carlo collectives checkpoint (~40 ms at
@@ -710,4 +757,24 @@ fn optimize_reports_an_infeasible_space_with_exit_one() {
     let resp = ntc::api::OptimizeResponse::from_json(&stdout(&out)).expect("typed body");
     assert!(!resp.feasible);
     assert!(resp.best.is_none());
+}
+
+#[test]
+fn optimize_rejects_a_deeply_nested_request_without_crashing() {
+    // Nesting past the parser's depth bound is a parse error with an
+    // exit code, not a stack overflow killed by a signal.
+    let dir = scratch("optimize_deep");
+    let req = dir.join("deep.json");
+    std::fs::write(
+        &req,
+        format!("{}{}", "[".repeat(200_000), "]".repeat(200_000)),
+    )
+    .unwrap();
+    let out = repro_clean_env(&["optimize", "--request", req.to_str().unwrap()]);
+    assert!(out.status.code().is_some_and(|c| c != 0), "{out:?}");
+    assert!(
+        stderr(&out).contains("nesting too deep"),
+        "{}",
+        stderr(&out)
+    );
 }

@@ -63,7 +63,7 @@ impl Band {
 
     /// The admissible interval `[lo, hi]` around `paper`; one-sided
     /// bands return ±∞ on their open side.
-    pub fn bounds(&self, paper: f64) -> (f64, f64) {
+    pub(crate) fn bounds(&self, paper: f64) -> (f64, f64) {
         match *self {
             Band::Abs(tol) => (paper - tol, paper + tol),
             Band::Rel(tol) => {
@@ -122,12 +122,12 @@ impl PaperRef {
     }
 
     /// Anchor whose measured value must be at least `lo`.
-    pub fn at_least(paper: f64, lo: f64) -> Self {
+    pub(crate) fn at_least(paper: f64, lo: f64) -> Self {
         Self { paper, band: Band::AtLeast(lo) }
     }
 
     /// Anchor whose measured value must be at most `hi`.
-    pub fn at_most(paper: f64, hi: f64) -> Self {
+    pub(crate) fn at_most(paper: f64, hi: f64) -> Self {
         Self { paper, band: Band::AtMost(hi) }
     }
 
@@ -182,7 +182,7 @@ pub enum Cell {
 
 impl Cell {
     /// Numeric value, if the cell is numeric.
-    pub fn as_num(&self) -> Option<f64> {
+    pub(crate) fn as_num(&self) -> Option<f64> {
         match self {
             Cell::Num(v) => Some(*v),
             Cell::Text(_) => None,
@@ -190,7 +190,7 @@ impl Cell {
     }
 
     /// Text value, if the cell is textual.
-    pub fn as_text(&self) -> Option<&str> {
+    pub(crate) fn as_text(&self) -> Option<&str> {
         match self {
             Cell::Text(s) => Some(s),
             Cell::Num(_) => None,
@@ -209,7 +209,7 @@ impl fmt::Display for Cell {
 
 /// A rectangular table with named, united columns.
 ///
-/// Rows are looked up *by key*, never by position: [`Table::row_by_key`]
+/// Rows are looked up *by key*, never by position: `Table::row_by_key`
 /// finds the row whose cell in a given column matches a text key, so
 /// downstream consumers (savings lines, checks, renderers) cannot silently
 /// misreport if row ordering changes.
@@ -239,7 +239,7 @@ impl Table {
     /// # Panics
     ///
     /// Panics if the row width does not match the column count.
-    pub fn push_row(&mut self, row: Vec<Cell>) {
+    pub(crate) fn push_row(&mut self, row: Vec<Cell>) {
         assert_eq!(
             row.len(),
             self.columns.len(),
@@ -249,7 +249,7 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Builder-style [`Table::push_row`].
+    /// Builder-style `Table::push_row`.
     #[must_use]
     pub fn with_row(mut self, row: Vec<Cell>) -> Self {
         self.push_row(row);
@@ -262,12 +262,12 @@ impl Table {
     }
 
     /// Index of a column by name.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
+    pub(crate) fn column_index(&self, name: &str) -> Option<usize> {
         self.columns.iter().position(|c| c.name == name)
     }
 
     /// The row whose `key_column` cell equals `key` (textual match).
-    pub fn row_by_key(&self, key_column: &str, key: &str) -> Option<&[Cell]> {
+    pub(crate) fn row_by_key(&self, key_column: &str, key: &str) -> Option<&[Cell]> {
         let ki = self.column_index(key_column)?;
         self.rows
             .iter()

@@ -47,7 +47,7 @@ impl Tolerance {
     /// Whether `a` and `b` agree within this tolerance. NaN never
     /// matches anything (a NaN appearing in an artifact is itself a
     /// regression); equal infinities match.
-    pub fn matches(&self, a: f64, b: f64) -> bool {
+    pub(crate) fn matches(&self, a: f64, b: f64) -> bool {
         if a == b {
             return true; // covers equal infinities and exact zeros
         }

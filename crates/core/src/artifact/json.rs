@@ -85,7 +85,7 @@ impl JsonValue {
     }
 
     /// Writes the value with two-space indentation at the given depth.
-    pub fn write_pretty(&self, out: &mut String, depth: usize) {
+    pub(crate) fn write_pretty(&self, out: &mut String, depth: usize) {
         match self {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -214,7 +214,7 @@ fn non_finite_marker(v: f64) -> Option<&'static str> {
 /// Writes `v` exactly as `JsonValue::num(v).write_compact` would: the
 /// shortest round-trip number, or its non-finite marker string. For
 /// encoders that stream into a buffer without building a tree.
-pub fn write_num(out: &mut String, v: f64) {
+pub(crate) fn write_num(out: &mut String, v: f64) {
     match non_finite_marker(v) {
         None => write!(out, "{v}").expect("writing to a String cannot fail"),
         Some(marker) => write_str(out, marker),
@@ -223,7 +223,7 @@ pub fn write_num(out: &mut String, v: f64) {
 
 /// Writes `s` as a quoted JSON string with the mandatory escapes, the
 /// bytes `JsonValue::Str(s)` is written as.
-pub fn write_str(out: &mut String, s: &str) {
+pub(crate) fn write_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -241,7 +241,7 @@ pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// `s` as a quoted JSON string: the bytes [`write_str`] writes, for
+/// `s` as a quoted JSON string: the bytes `write_str` writes, for
 /// encoders that format a document around it.
 pub fn quoted(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -260,12 +260,12 @@ pub struct JsonError {
 
 impl JsonError {
     /// A schema-level error (structure parsed, content unexpected).
-    pub fn schema(what: &str) -> Self {
+    pub(crate) fn schema(what: &str) -> Self {
         Self { message: format!("schema: {what}"), offset: 0 }
     }
 
     /// A schema-level error with an owned message.
-    pub fn schema_owned(message: String) -> Self {
+    pub(crate) fn schema_owned(message: String) -> Self {
         Self { message: format!("schema: {message}"), offset: 0 }
     }
 }
@@ -278,11 +278,17 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The deepest array/object nesting [`parse`] accepts. The deepest
+/// committed document, a `baselines/quick` artifact, nests 6 levels, and
+/// provenance sidecars and optimize responses nest 3; 128 leaves a wide
+/// margin while keeping the recursion far inside a worker thread's stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document.
 pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(err("trailing content", pos));
@@ -309,12 +315,14 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
+/// Parses the value at `pos`, `depth` containers deep.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, JsonError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err("unexpected end of input", *pos)),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(err("nesting too deep", *pos)),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(JsonValue::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", JsonValue::Bool(false)),
@@ -361,11 +369,17 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     expect(bytes, pos, b'"')?;
     let start = *pos;
-    let Some(n) = bytes[start..].iter().position(|&b| b == b'"' || b == b'\\') else {
+    let Some(n) = bytes[start..]
+        .iter()
+        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+    else {
         return Err(err("unterminated string", bytes.len()));
     };
     let run = &bytes[start..start + n];
     *pos = start + n;
+    if bytes[*pos] < 0x20 {
+        return Err(err("control character in string", *pos));
+    }
     if bytes[*pos] == b'"' {
         // No escape before the closing quote: copy the run once.
         *pos += 1;
@@ -410,6 +424,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 }
                 *pos += 1;
             }
+            Some(&b) if b < 0x20 => return Err(err("control character in string", *pos)),
             Some(&b) => {
                 out.push(b);
                 *pos += 1;
@@ -418,7 +433,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, JsonError> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -427,7 +442,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
         return Ok(JsonValue::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => {
@@ -442,7 +457,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, JsonError> {
     expect(bytes, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -455,7 +470,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -576,8 +591,10 @@ mod tests {
         assert!(e.offset > 0);
         assert!(!e.to_string().is_empty());
 
-        // String errors: the message and the exact byte offset.
+        // String and nesting errors: the message and the exact byte offset.
         let long = format!("\"{}", "x".repeat(1000));
+        let deep = "[".repeat(200_000);
+        let deep_obj = "{\"k\":".repeat(MAX_DEPTH + 1);
         for (text, message, offset) in [
             ("\"abc", "unterminated string", 4),
             (long.as_str(), "unterminated string", 1001),
@@ -587,10 +604,18 @@ mod tests {
             ("\"ab\\q\"", "bad escape", 4),
             ("\"ab\\n\\u12\"", "bad \\u escape", 6),
             ("{\"k\\x\":1}", "bad escape", 4),
+            ("\"a\u{1}b\"", "control character in string", 2),
+            ("\"a\\n\u{1f}\"", "control character in string", 4),
+            ("\"a\nb\"", "control character in string", 2),
+            ("{\"k\u{0}\":1}", "control character in string", 3),
+            (deep.as_str(), "nesting too deep", MAX_DEPTH),
+            (deep_obj.as_str(), "nesting too deep", 5 * MAX_DEPTH),
         ] {
             let e = parse(text).unwrap_err();
             assert_eq!((e.message.as_str(), e.offset), (message, offset), "{text:?}");
         }
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&deepest).is_ok());
     }
 
     #[test]

@@ -79,7 +79,7 @@ impl NtcError {
     }
 
     /// Shorthand for an [`NtcError::MissingField`].
-    pub fn missing_field(field: &str) -> Self {
+    pub(crate) fn missing_field(field: &str) -> Self {
         NtcError::MissingField { field: field.to_string() }
     }
 }

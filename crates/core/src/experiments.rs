@@ -78,7 +78,7 @@ pub struct ModulePower {
 
 impl ModulePower {
     /// Total power of the module.
-    pub fn total_w(&self) -> f64 {
+    pub(crate) fn total_w(&self) -> f64 {
         self.dynamic_w + self.leakage_w
     }
 }
@@ -230,7 +230,7 @@ impl ExperimentConfig {
     }
 
     /// The commercial-memory regime of Figure 9.
-    pub fn commercial(policy: MitigationPolicy, vdd: f64, frequency_hz: f64) -> Self {
+    pub(crate) fn commercial(policy: MitigationPolicy, vdd: f64, frequency_hz: f64) -> Self {
         Self {
             style: CellStyle::Commercial6T,
             ..Self::cell_based(policy, vdd, frequency_hz)
@@ -398,7 +398,7 @@ fn finish(
 /// The row for `policy` in a set of experiment results, looked up by
 /// policy identity rather than position — reorderings of the result set
 /// cannot silently redirect a savings computation to the wrong row.
-pub fn result_for(
+pub(crate) fn result_for(
     rows: &[ExperimentResult],
     policy: MitigationPolicy,
 ) -> Option<&ExperimentResult> {
@@ -407,7 +407,7 @@ pub fn result_for(
 
 /// Fractional total-power saving of `new` relative to `base`
 /// (`1 − P_new / P_base`).
-pub fn power_saving(base: &ExperimentResult, new: &ExperimentResult) -> f64 {
+pub(crate) fn power_saving(base: &ExperimentResult, new: &ExperimentResult) -> f64 {
     1.0 - new.total_power_w() / base.total_power_w()
 }
 
@@ -438,11 +438,11 @@ pub fn figure8_seeded(seed: u64) -> Vec<ExperimentResult> {
 
 /// The Figure 9 experiment: 11 MHz on the commercial memory at
 /// 0.88 / 0.77 / 0.66 V. Policies run concurrently, as in [`figure8`].
-pub fn figure9() -> Vec<ExperimentResult> {
+pub(crate) fn figure9() -> Vec<ExperimentResult> {
     figure9_seeded(2014)
 }
 
-/// [`figure9`] with an explicit input/fault seed.
+/// `figure9` with an explicit input/fault seed.
 pub fn figure9_seeded(seed: u64) -> Vec<ExperimentResult> {
     let solver =
         FitSolver::new(AccessLaw::commercial_40nm(), 1e-15).with_grid(VoltageGrid::PaperGrid);
@@ -482,7 +482,7 @@ impl Headline {
     /// # Panics
     ///
     /// Panics if either slice is missing one of the three policies.
-    pub fn from_rows(f8: &[ExperimentResult], f9: &[ExperimentResult]) -> Headline {
+    pub(crate) fn from_rows(f8: &[ExperimentResult], f9: &[ExperimentResult]) -> Headline {
         let pick = |rows: &[ExperimentResult], policy| -> ExperimentResult {
             result_for(rows, policy)
                 .unwrap_or_else(|| panic!("missing {policy:?} row"))

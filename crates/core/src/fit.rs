@@ -90,7 +90,7 @@ impl VoltageGrid {
     /// # Panics
     ///
     /// Panics if a `CeilStep` grid has a zero step.
-    pub fn quantize(&self, v: f64) -> f64 {
+    pub(crate) fn quantize(&self, v: f64) -> f64 {
         match *self {
             VoltageGrid::Exact => v,
             VoltageGrid::PaperGrid => {
@@ -174,13 +174,9 @@ impl FitSolver {
     }
 
     /// The failure law being solved against.
-    pub fn law(&self) -> &AccessLaw {
+    #[cfg(test)]
+    pub(crate) fn law(&self) -> &AccessLaw {
         &self.law
-    }
-
-    /// The FIT budget.
-    pub fn fit_target(&self) -> f64 {
-        self.fit_target
     }
 
     /// Largest tolerable per-bit error probability for `scheme`.

@@ -14,7 +14,7 @@
 //!
 //! Each line is `<fnv64-hex16> <compact-json>`: sixteen lowercase hex
 //! digits of the FNV-64 hash of the JSON bytes, one space, the event
-//! object. [`verify_line`] recomputes the hash, so a flipped bit or a
+//! object. `verify_line` recomputes the hash, so a flipped bit or a
 //! torn tail rejects the damaged line (and only it) — the same
 //! no-wrong-answers posture as the `ShardCheckpoint` envelope and the
 //! artifact header. A journal is telemetry, so a bad line is *dropped
@@ -45,7 +45,7 @@
 //! `flush_ms` (default [`DEFAULT_FLUSH_MS`], overridable with
 //! `NTC_HEARTBEAT_MS`). Each journal records its own cadence in `meta`,
 //! so the reader needs no out-of-band configuration: a worker whose
-//! newest event is older than [`STALL_FACTOR`] × its own `flush_ms` is
+//! newest event is older than `STALL_FACTOR` × its own `flush_ms` is
 //! reported **stalled** — enough slack that scheduler jitter doesn't
 //! cry wolf, and still within a couple of seconds at the default
 //! cadence. A worker that published `done` is finished, not stalled,
@@ -70,7 +70,7 @@ pub const DEFAULT_FLUSH_MS: u64 = 1000;
 
 /// A worker is stalled when its newest event is older than this many of
 /// its own flush intervals.
-pub const STALL_FACTOR: u64 = 3;
+pub(crate) const STALL_FACTOR: u64 = 3;
 
 /// Wall-clock Unix time in milliseconds (journals are compared across
 /// processes and machines, so the epoch clock is the right one).
@@ -92,7 +92,7 @@ pub fn encode_line(json: &str) -> String {
 /// recorded hash matches the bytes — a flipped bit or truncated tail is
 /// `None`.
 #[must_use]
-pub fn verify_line(line: &str) -> Option<&str> {
+pub(crate) fn verify_line(line: &str) -> Option<&str> {
     let (hash, json) = line.split_at_checked(16)?;
     let json = json.strip_prefix(' ')?;
     // Lowercase hex only — exactly what `encode_line` emits, so a case
@@ -154,7 +154,7 @@ impl Journal {
 
     /// The flush cadence this journal advertises in its `meta` event.
     #[must_use]
-    pub fn flush_ms(&self) -> u64 {
+    pub(crate) fn flush_ms(&self) -> u64 {
         self.flush_ms
     }
 
@@ -187,7 +187,7 @@ impl Journal {
     }
 
     /// Records one checkpoint flushed to the store (buffer only).
-    pub fn ckpt_flush(&self, scope: &str, shard: u32, bytes: usize) {
+    pub(crate) fn ckpt_flush(&self, scope: &str, shard: u32, bytes: usize) {
         self.push(&format!(
             r#""ev":"ckpt_flush","scope":{},"shard":{shard},"bytes":{bytes}"#,
             quoted(scope)
@@ -222,7 +222,7 @@ impl Journal {
 
     /// Appends a `heartbeat` snapshot of the process-wide progress
     /// tracker and flushes the journal.
-    pub fn heartbeat(&self) {
+    pub(crate) fn heartbeat(&self) {
         self.push_snapshot("heartbeat");
         self.flush();
     }
@@ -331,7 +331,7 @@ impl<S: CheckpointSink> CheckpointSink for JournalSink<S> {
 pub enum WorkerState {
     /// Heartbeats arriving within the stall window.
     Running,
-    /// No event within [`STALL_FACTOR`] × the worker's own flush
+    /// No event within `STALL_FACTOR` × the worker's own flush
     /// interval, and no `done` marker — presumed dead or wedged.
     Stalled,
     /// Published its terminal `done` event.

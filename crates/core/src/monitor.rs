@@ -69,14 +69,14 @@ impl AgingModel {
 
     /// The static worst-case guardband a design without monitoring must
     /// carry: the full end-of-life drift.
-    pub fn static_guardband_v(&self) -> f64 {
+    pub(crate) fn static_guardband_v(&self) -> f64 {
         self.eol_drift_v
     }
 }
 
 /// One sample of a lifetime control trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ControlPoint {
+pub(crate) struct ControlPoint {
     /// Age in years.
     pub years: f64,
     /// Supply the controller selected for this window.
@@ -137,7 +137,8 @@ impl VoltageController {
     }
 
     /// Number of supply adjustments made so far.
-    pub fn adjustments(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn adjustments(&self) -> u64 {
         self.adjustments
     }
 
@@ -187,7 +188,7 @@ impl fmt::Display for VoltageController {
 /// # Panics
 ///
 /// Panics if `windows == 0` or `accesses_per_window == 0`.
-pub fn simulate_lifetime(
+pub(crate) fn simulate_lifetime(
     aging: &AgingModel,
     controller: &mut VoltageController,
     windows: usize,

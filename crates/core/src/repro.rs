@@ -172,13 +172,8 @@ impl RunCtx {
         ntc_stats::exec::threads()
     }
 
-    /// The memoized platform timing/energy model.
-    pub fn platform(&self) -> &CachedSoc {
-        &self.platform
-    }
-
-    /// The platform `f_max` closure solvers take (memoized via
-    /// [`RunCtx::platform`]).
+    /// The platform `f_max` closure solvers take (memoized by the
+    /// context's cached platform model).
     pub fn f_max(&self) -> impl Fn(f64) -> f64 + Copy + Sync + '_ {
         move |vdd| self.platform.f_max(vdd)
     }
@@ -186,7 +181,7 @@ impl RunCtx {
     /// Scales a full-fidelity Monte-Carlo sample count to this context's
     /// scale. [`Scale::Paper`] returns `full`; [`Scale::Quick`] divides
     /// by 20 but never drops below 1000 samples.
-    pub fn mc(&self, full: u64) -> u64 {
+    pub(crate) fn mc(&self, full: u64) -> u64 {
         match self.scale {
             Scale::Paper => full,
             Scale::Quick => (full / 20).max(1000),
@@ -194,12 +189,12 @@ impl RunCtx {
     }
 
     /// The Figure 8 platform rows, measured once per context.
-    pub fn figure8_rows(&self) -> &[ExperimentResult] {
+    pub(crate) fn figure8_rows(&self) -> &[ExperimentResult] {
         self.fig8.get_or_init(|| figure8_seeded(self.seed))
     }
 
     /// The Figure 9 platform rows, measured once per context.
-    pub fn figure9_rows(&self) -> &[ExperimentResult] {
+    pub(crate) fn figure9_rows(&self) -> &[ExperimentResult] {
         self.fig9.get_or_init(|| figure9_seeded(self.seed))
     }
 }

@@ -49,7 +49,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// On-disk format revision; bumped when the header or layout changes.
-pub const FORMAT: u32 = 1;
+pub(crate) const FORMAT: u32 = 1;
 
 /// The version component of every artifact key: crate version plus the
 /// store format revision. Deliberately **not** `git describe` — a dirty
@@ -334,7 +334,7 @@ impl Store {
     /// Publishes a worker's event journal as `events/<worker>.jsonl`
     /// (atomic tmp+rename; last flush wins, and every flush carries the
     /// whole history, so that is always the freshest complete view).
-    pub fn put_journal(&self, worker: &str, bytes: &[u8]) -> Result<(), NtcError> {
+    pub(crate) fn put_journal(&self, worker: &str, bytes: &[u8]) -> Result<(), NtcError> {
         self.publish(&self.root.join("events").join(format!("{worker}.jsonl")), bytes)
     }
 
@@ -421,7 +421,7 @@ impl Store {
     }
 
     /// The currently claimed shard ranges.
-    pub fn claims(&self) -> Vec<(u32, u32)> {
+    pub(crate) fn claims(&self) -> Vec<(u32, u32)> {
         self.claim_files().into_iter().map(|(_, r)| r).collect()
     }
 

@@ -299,7 +299,7 @@ impl fmt::Display for BchDecTed {
 
 /// Outcome of decoding the quad-correcting code — same shape as
 /// [`BchOutcome`] but up to four repairs.
-pub type BchQuadOutcome = BchOutcome;
+pub(crate) type BchQuadOutcome = BchOutcome;
 
 /// The (57,32) QEC-PED BCH code: corrects **any four** random bit errors,
 /// detects any five.
@@ -403,20 +403,15 @@ impl BchQuad {
     }
 
     /// Data bits (32).
-    pub fn data_bits(&self) -> u32 {
+    pub(crate) fn data_bits(&self) -> u32 {
         DATA_BITS
-    }
-
-    /// Storage overhead ratio (57/32).
-    pub fn overhead(&self) -> f64 {
-        QUAD_CODEWORD_BITS as f64 / DATA_BITS as f64
     }
 
     /// Two-input XOR gates in a parallel encoder, counted exactly from
     /// the systematic generator matrix (each check bit is the XOR of the
     /// data bits whose unit-vector encodings set it), plus the overall
     /// parity tree.
-    pub fn encoder_xor_count(&self) -> u32 {
+    pub(crate) fn encoder_xor_count(&self) -> u32 {
         let mut fanin = [0u32; QUAD_CHECK_BITS as usize + 1];
         for i in 0..DATA_BITS {
             let cw = self.encode(1u32 << i);
@@ -436,7 +431,7 @@ impl BchQuad {
     /// Berlekamp–Massey datapath plus the Chien search are charged as 4×
     /// the syndrome generator (the ratio reported for serial t = 4 BCH
     /// decoders versus their syndrome stage).
-    pub fn decoder_syndrome_ratio(&self) -> f64 {
+    pub(crate) fn decoder_syndrome_ratio(&self) -> f64 {
         4.0
     }
 
@@ -698,7 +693,6 @@ mod tests {
         let code = BchQuad::new();
         assert_eq!(code.codeword_bits(), 57);
         assert_eq!(code.data_bits(), 32);
-        assert!((code.overhead() - 57.0 / 32.0).abs() < 1e-12);
     }
 
     #[test]

@@ -76,7 +76,7 @@ impl EccEnergyModel {
     }
 
     /// Energy of one XOR at supply `vdd` (quadratic scaling).
-    pub fn xor_energy(&self, vdd: f64) -> f64 {
+    pub(crate) fn xor_energy(&self, vdd: f64) -> f64 {
         let r = vdd / self.vref;
         self.xor_energy_j * r * r
     }

@@ -116,18 +116,13 @@ impl InterleavedCode {
         })
     }
 
-    /// Data width in bits.
-    pub fn data_bits(&self) -> u32 {
-        self.data_bits
-    }
-
     /// Number of interleaved lanes.
-    pub fn lanes(&self) -> u32 {
+    pub(crate) fn lanes(&self) -> u32 {
         self.lanes
     }
 
     /// The per-lane SECDED code.
-    pub fn lane_code(&self) -> &Secded {
+    pub(crate) fn lane_code(&self) -> &Secded {
         &self.lane_code
     }
 
@@ -144,7 +139,7 @@ impl InterleavedCode {
     }
 
     /// Storage overhead ratio: stored bits / data bits.
-    pub fn overhead(&self) -> f64 {
+    pub(crate) fn overhead(&self) -> f64 {
         self.codeword_bits() as f64 / self.data_bits as f64
     }
 

@@ -64,11 +64,6 @@ impl DecodeOutcome {
         }
     }
 
-    /// Whether decoding consumed a correction (an error was repaired).
-    pub fn was_corrected(&self) -> bool {
-        matches!(self, DecodeOutcome::Corrected { .. })
-    }
-
     /// Whether the decoder flagged the word as unusable.
     pub fn is_detected_failure(&self) -> bool {
         matches!(
@@ -90,7 +85,7 @@ impl DecodeOutcome {
 ///
 /// # fn main() -> Result<(), ntc_ecc::secded::CodeError> {
 /// let code = Secded::new(8)?; // (13,8) — used per lane in OCEAN's buffer
-/// assert_eq!(code.check_bits(), 5);
+/// assert_eq!(code.codeword_bits(), 13);
 /// let cw = code.encode(0xA5);
 /// assert_eq!(code.decode(cw).data(), Some(0xA5));
 /// # Ok(())
@@ -156,13 +151,8 @@ impl Secded {
     }
 
     /// Data width in bits.
-    pub fn data_bits(&self) -> u32 {
+    pub(crate) fn data_bits(&self) -> u32 {
         self.data_bits
-    }
-
-    /// Number of check bits.
-    pub fn check_bits(&self) -> u32 {
-        self.check_bits
     }
 
     /// Total codeword width (`data_bits + check_bits`).
@@ -175,7 +165,8 @@ impl Secded {
     /// # Panics
     ///
     /// Panics if `i >= data_bits`.
-    pub fn column(&self, i: u32) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn column(&self, i: u32) -> u32 {
         self.columns[i as usize]
     }
 
@@ -256,7 +247,7 @@ impl Secded {
 
     /// Number of two-input XOR gates in the encoder: each check bit of
     /// fan-in `f` costs `f − 1` XORs.
-    pub fn encoder_xor_count(&self) -> u32 {
+    pub(crate) fn encoder_xor_count(&self) -> u32 {
         (0..self.check_bits)
             .map(|b| {
                 let fanin = self
@@ -271,7 +262,7 @@ impl Secded {
 
     /// Number of two-input XOR gates in the syndrome generator: the encoder
     /// tree plus one XOR per check bit to fold in the stored checks.
-    pub fn syndrome_xor_count(&self) -> u32 {
+    pub(crate) fn syndrome_xor_count(&self) -> u32 {
         self.encoder_xor_count() + self.check_bits
     }
 }
@@ -353,7 +344,7 @@ mod tests {
                 let corrupted = cw ^ (1u128 << bit);
                 let out = c.decode(corrupted);
                 assert_eq!(out.data(), Some(data), "bit {bit} of {data:#x}");
-                assert!(out.was_corrected());
+                assert!(matches!(out, DecodeOutcome::Corrected { .. }));
                 if let DecodeOutcome::Corrected { bit: b, .. } = out {
                     assert_eq!(b, bit);
                 }

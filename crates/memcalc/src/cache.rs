@@ -30,7 +30,7 @@
 //! # Bounded table
 //!
 //! A long-lived server feeds client voltages straight into the memo, so
-//! the table stops growing at [`MEMO_CAP`] entries: past it, a miss is
+//! the table stops growing at `MEMO_CAP` entries: past it, a miss is
 //! evaluated and counted but not inserted. The model is pure, so an
 //! uncached answer is bit-identical to the one a cached entry would hold.
 
@@ -44,7 +44,7 @@ pub const V_QUANTUM: f64 = 0.05e-3;
 
 /// Most entries one [`CachedSoc`] memoizes. The paper grids need a few
 /// hundred; a 45 s open-loop serve benchmark inserts about 21.6k per model.
-pub const MEMO_CAP: usize = 1 << 16;
+pub(crate) const MEMO_CAP: usize = 1 << 16;
 
 static HITS: ntc_obs::CounterHandle = ntc_obs::CounterHandle::new("memcalc.cache.hit");
 static MISSES: ntc_obs::CounterHandle = ntc_obs::CounterHandle::new("memcalc.cache.miss");
@@ -183,12 +183,14 @@ impl CachedSoc {
     }
 
     /// Number of memoized entries.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.memo.lock().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     /// Whether the memo table is empty.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }

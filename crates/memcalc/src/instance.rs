@@ -20,7 +20,7 @@
 //! published frequency pairs (e.g. the AOI macro's 96 MHz @ 1.1 V vs.
 //! 0.4 MHz @ 0.45 V).
 
-use ntc_sram::failure::{AccessLaw, RetentionLaw};
+use ntc_sram::failure::RetentionLaw;
 use ntc_sram::styles::CellStyle;
 use ntc_tech::card::TechnologyCard;
 use std::fmt;
@@ -73,7 +73,7 @@ impl MemoryOrganization {
     }
 
     /// Number of words.
-    pub fn words(&self) -> u32 {
+    pub(crate) fn words(&self) -> u32 {
         self.words
     }
 
@@ -83,7 +83,7 @@ impl MemoryOrganization {
     }
 
     /// Total bits.
-    pub fn bits(&self) -> u64 {
+    pub(crate) fn bits(&self) -> u64 {
         self.words as u64 * self.bits_per_word as u64
     }
 
@@ -208,16 +208,6 @@ impl MemoryMacro {
         self
     }
 
-    /// Number of banks.
-    pub fn banks(&self) -> u32 {
-        self.banks
-    }
-
-    /// The bit-cell style.
-    pub fn style(&self) -> CellStyle {
-        self.style
-    }
-
     /// The organization.
     pub fn organization(&self) -> MemoryOrganization {
         self.org
@@ -226,11 +216,6 @@ impl MemoryMacro {
     /// The technology card.
     pub fn card(&self) -> &TechnologyCard {
         &self.card
-    }
-
-    /// The access-failure law of the underlying cells.
-    pub fn access_law(&self) -> AccessLaw {
-        self.style.access_law()
     }
 
     /// The retention-failure law of the underlying cells.
@@ -498,7 +483,7 @@ mod tests {
         // …paid in duplicated periphery.
         assert!(banked.leakage_power(1.1) > flat.leakage_power(1.1));
         assert!(banked.area_mm2() > flat.area_mm2());
-        assert_eq!(banked.banks(), 4);
+        assert_eq!(banked.banks, 4);
     }
 
     #[test]

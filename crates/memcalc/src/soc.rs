@@ -77,11 +77,6 @@ impl SocComponent {
         self
     }
 
-    /// Component name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The effective supply this component sees when the system runs at
     /// `vdd` (clamped to the floor if one is set).
     pub fn effective_supply(&self, vdd: f64) -> f64 {
@@ -140,34 +135,6 @@ impl OperatingPoint {
     /// Total power at this operating point, watts.
     pub fn power_w(&self) -> f64 {
         self.total_j() * self.frequency
-    }
-}
-
-/// Per-access overhead of a dual-rail (separate memory supply) design:
-/// every logic↔memory crossing pays a level shifter, and the second
-/// regulator wastes a fraction of the memory domain's power.
-///
-/// Section II: "One apparent option is the use of different supply
-/// voltages for the digital domain and memories. This approach entails
-/// additional complexity on system level (requiring the generation and
-/// distribution of multiple supply voltages) as well as in the backend
-/// (implementing level shifting and multi-voltage timing closure)."
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DualRailOverhead {
-    /// Energy per level-shifted memory access, joules (both directions).
-    pub level_shifter_j: f64,
-    /// Fractional loss of the second regulator (e.g. 0.15 = 85 % efficient).
-    pub regulator_loss: f64,
-}
-
-impl DualRailOverhead {
-    /// 40 nm LP defaults: ~40 fJ per shifted 32-bit word access, 15 %
-    /// second-regulator loss (buck at low load).
-    pub fn n40lp_default() -> Self {
-        Self {
-            level_shifter_j: 40e-15,
-            regulator_loss: 0.15,
-        }
     }
 }
 
@@ -265,16 +232,6 @@ impl SocEnergyModel {
         Self::new(components, 1.1, card, 0.45, 1e6, 0.5)
     }
 
-    /// The components.
-    pub fn components(&self) -> &[SocComponent] {
-        &self.components
-    }
-
-    /// Reference voltage of the component energies.
-    pub fn vref(&self) -> f64 {
-        self.vref
-    }
-
     /// Maximum platform clock at supply `vdd`, in hertz (EKV delay scaling
     /// through the fitted timing threshold, anchored per construction).
     ///
@@ -334,64 +291,6 @@ impl SocEnergyModel {
     /// voltage allows — the way Figure 1's energy/cycle curve is measured.
     pub fn operating_point(&self, vdd: f64) -> OperatingPoint {
         self.operating_point_at(vdd, self.f_max(vdd))
-    }
-
-    /// The energy/cycle of the *dual-rail* alternative: logic at `vdd`,
-    /// memories held at their own fixed `v_mem` rail, with level-shifter
-    /// energy on every memory access and regulator loss on the memory
-    /// domain. Components with a supply floor are treated as the memory
-    /// domain; the rest follow the logic rail.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v_mem` is not finite/positive or the frequency exceeds
-    /// `f_max(vdd)` (delegated checks).
-    pub fn dual_rail_operating_point(
-        &self,
-        vdd: f64,
-        v_mem: f64,
-        overhead: &DualRailOverhead,
-    ) -> OperatingPoint {
-        assert!(v_mem.is_finite() && v_mem > 0.0, "memory rail must be positive");
-        let f_hz = self.f_max(vdd);
-        let lambda = self.card.dibl_mv_per_v() / 1000.0;
-        let nvt = self.card.ideality() * self.card.thermal_voltage();
-        let components = self
-            .components
-            .iter()
-            .map(|c| {
-                let is_memory = c.supply_floor.is_some();
-                let v = if is_memory { v_mem } else { vdd };
-                let r = v / self.vref;
-                let mut dynamic_j = c.e_dyn_ref * c.activity * r * r;
-                let mut leak_w =
-                    c.leak_ref * (v / self.vref) * (lambda * (v - self.vref) / nvt).exp();
-                if is_memory {
-                    // Level shifters on every access + regulator loss on
-                    // the whole domain.
-                    dynamic_j += overhead.level_shifter_j * c.activity;
-                    let loss = 1.0 / (1.0 - overhead.regulator_loss);
-                    dynamic_j *= loss;
-                    leak_w *= loss;
-                }
-                ComponentEnergy {
-                    name: c.name.clone(),
-                    dynamic_j,
-                    leakage_j: leak_w / f_hz,
-                }
-            })
-            .collect();
-        OperatingPoint {
-            vdd,
-            frequency: f_hz,
-            components,
-        }
-    }
-
-    /// Sweeps [`operating_point`](Self::operating_point) over a voltage
-    /// grid — the Figure 1 series.
-    pub fn sweep(&self, voltages: &[f64]) -> Vec<OperatingPoint> {
-        voltages.iter().map(|&v| self.operating_point(v)).collect()
     }
 
     /// The voltage minimizing total energy per cycle on a uniform grid of
@@ -524,45 +423,5 @@ mod tests {
     #[test]
     fn display_nonempty() {
         assert!(!SocEnergyModel::exg_processor_40nm().to_string().is_empty());
-    }
-
-    #[test]
-    fn dual_rail_triangle_at_matched_throughput() {
-        // The paper's motivating triangle, compared at equal clock
-        // frequency (the application sets the throughput):
-        //   whole-chip-at-0.7V  >  dual-rail (logic scaled, mem at 0.7)
-        //                       >  single-supply cell-based (this paper).
-        let cots = SocEnergyModel::exg_processor_40nm();
-        let cell = SocEnergyModel::exg_processor_cell_based_40nm();
-        let oh = DualRailOverhead::n40lp_default();
-        let v_logic = 0.45;
-        let f = cots.f_max(v_logic);
-        let whole_chip_07 = cots.operating_point_at(0.7, f).total_j();
-        let dual = cots.dual_rail_operating_point(v_logic, 0.7, &oh).total_j();
-        let cell_based = cell.operating_point_at(v_logic, f).total_j();
-        assert!(
-            dual < whole_chip_07,
-            "dual rail must beat hauling the logic at 0.7 V: {dual} vs {whole_chip_07}"
-        );
-        assert!(
-            cell_based < dual,
-            "single-supply cell-based ({cell_based}) must beat dual-rail ({dual})"
-        );
-    }
-
-    #[test]
-    fn dual_rail_overhead_terms_visible() {
-        let soc = SocEnergyModel::exg_processor_40nm();
-        let oh = DualRailOverhead::n40lp_default();
-        let with = soc.dual_rail_operating_point(0.6, 0.7, &oh);
-        let free = soc.dual_rail_operating_point(
-            0.6,
-            0.7,
-            &DualRailOverhead { level_shifter_j: 1e-30, regulator_loss: 1e-9 },
-        );
-        assert!(with.total_j() > free.total_j(), "overheads must cost energy");
-        // The memory component carries the overhead.
-        assert!(with.components[1].dynamic_j > free.components[1].dynamic_j);
-        assert!((with.components[0].dynamic_j - free.components[0].dynamic_j).abs() < 1e-18);
     }
 }

@@ -91,12 +91,6 @@ pub fn enable() {
     ENABLED.store(true, Ordering::Relaxed);
 }
 
-/// Turns collection off. Already-registered metrics are kept for the
-/// life of the process; recorded spans until [`take_spans`] drains them.
-pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
-}
-
 /// A registered metric instrument.
 #[derive(Clone)]
 enum Instrument {
@@ -137,7 +131,7 @@ pub fn counter(name: &str) -> Arc<Counter> {
 /// Gets or creates the gauge registered under `name` (see [`counter`]
 /// for the kind-mismatch rule).
 #[must_use]
-pub fn gauge(name: &str) -> Arc<Gauge> {
+pub(crate) fn gauge(name: &str) -> Arc<Gauge> {
     match registered(name, || Instrument::Gauge(Arc::new(Gauge::new()))) {
         Instrument::Gauge(g) => g,
         _ => Arc::new(Gauge::new()),
@@ -148,7 +142,7 @@ pub fn gauge(name: &str) -> Arc<Gauge> {
 /// of the first registration win; a kind mismatch returns a detached
 /// instrument (see [`counter`]).
 #[must_use]
-pub fn histogram(name: &str, bounds: &[f64]) -> Arc<Histogram> {
+pub(crate) fn histogram(name: &str, bounds: &[f64]) -> Arc<Histogram> {
     match registered(name, || Instrument::Histogram(Arc::new(Histogram::new(bounds)))) {
         Instrument::Histogram(h) => h,
         _ => Arc::new(Histogram::new(bounds)),

@@ -23,16 +23,12 @@ pub struct Counter(AtomicU64);
 
 impl Counter {
     #[must_use]
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Self(AtomicU64::new(0))
     }
 
-    pub fn add(&self, n: u64) {
+    pub(crate) fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn inc(&self) {
-        self.add(1);
     }
 
     #[must_use]
@@ -54,16 +50,16 @@ impl Default for Gauge {
 
 impl Gauge {
     #[must_use]
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Self(AtomicU64::new(0))
     }
 
-    pub fn set(&self, v: f64) {
+    pub(crate) fn set(&self, v: f64) {
         self.0.store(v.to_bits(), Ordering::Relaxed);
     }
 
     #[must_use]
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }
@@ -128,11 +124,6 @@ impl Histogram {
                 Err(seen) => cur = seen,
             }
         }
-    }
-
-    #[must_use]
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
     }
 
     #[must_use]
@@ -348,7 +339,7 @@ mod tests {
     #[test]
     fn counter_adds() {
         let c = Counter::new();
-        c.inc();
+        c.add(1);
         c.add(41);
         assert_eq!(c.get(), 42);
     }

@@ -51,7 +51,7 @@ static LAST_NS: AtomicU64 = AtomicU64::new(0);
 /// Smoothing factor of the throughput EMA: each computed shard pulls
 /// the estimate 20% toward its instantaneous rate, so the ETA follows
 /// sustained trends without whipsawing on one slow shard.
-pub const EMA_ALPHA: f64 = 0.2;
+pub(crate) const EMA_ALPHA: f64 = 0.2;
 
 /// Process-stable monotonic origin for the completion timestamps.
 fn epoch() -> Instant {
@@ -95,18 +95,6 @@ impl ProgressSnapshot {
             restored: self.restored + other.restored,
             computed: self.computed + other.computed,
             samples_per_sec: self.samples_per_sec + other.samples_per_sec,
-        }
-    }
-
-    /// Fraction of registered trials finished, in `[0, 1]`.
-    #[must_use]
-    pub fn fraction(&self) -> f64 {
-        if self.trials_total == 0 {
-            return 0.0;
-        }
-        #[allow(clippy::cast_precision_loss)]
-        {
-            (self.trials_done as f64 / self.trials_total as f64).min(1.0)
         }
     }
 
@@ -281,7 +269,6 @@ mod tests {
         assert_eq!(s.trials_total, 400);
         assert_eq!(s.restored, 1);
         assert_eq!(s.computed, 1);
-        assert_eq!(s.fraction(), 0.5);
         reset();
         assert_eq!(snapshot(), ProgressSnapshot::default());
     }

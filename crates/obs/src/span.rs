@@ -61,7 +61,7 @@ pub struct SpanRecord {
 impl SpanRecord {
     /// Items per second, if the span counted items and took any time.
     #[must_use]
-    pub fn items_per_sec(&self) -> Option<f64> {
+    pub(crate) fn items_per_sec(&self) -> Option<f64> {
         if self.items == 0 || self.dur_ns == 0 {
             return None;
         }

@@ -24,7 +24,7 @@ use ntc_sram::failure::AccessLaw;
 ///
 /// Returns [`ModelError`] if the profile is degenerate (no cycles or no
 /// accesses) or the word-error probability reaches 1.
-pub fn model_from_profile(
+pub(crate) fn model_from_profile(
     profile: &Profile,
     region_words: u32,
     law: &AccessLaw,
@@ -39,7 +39,7 @@ pub fn model_from_profile(
 ///
 /// # Errors
 ///
-/// Propagates [`ModelError`] from [`model_from_profile`].
+/// Propagates [`ModelError`] from `model_from_profile`.
 pub fn planned_phase_count(
     profile: &Profile,
     region_words: u32,

@@ -182,11 +182,6 @@ impl OceanRuntime {
         self.dma.stats()
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &OceanConfig {
-        &self.cfg
-    }
-
     /// Statistics accumulated so far.
     pub fn stats(&self) -> OceanStats {
         self.stats

@@ -33,7 +33,7 @@ fn since_epoch_ns() -> u64 {
 
 /// One answered request, as the worker shard saw it.
 #[derive(Debug, Clone)]
-pub struct AccessRecord {
+pub(crate) struct AccessRecord {
     /// Request id (also in spans and the `X-Request-Id` header).
     pub req: u64,
     /// Worker shard that answered (`None` for the rejector's 503s).
@@ -77,7 +77,7 @@ impl AccessRecord {
     /// The record as one JSON line (no trailing newline). Key order is
     /// fixed, so log processors can byte-anchor on prefixes.
     #[must_use]
-    pub fn to_json_line(&self) -> String {
+    pub(crate) fn to_json_line(&self) -> String {
         let mut out = format!(
             "{{\"t_ns\":{},\"req\":{},",
             since_epoch_ns(),
@@ -102,14 +102,14 @@ impl AccessRecord {
 
 /// The log: a bounded line queue plus the writer thread draining it.
 #[derive(Debug)]
-pub struct AccessLog {
+pub(crate) struct AccessLog {
     queue: Arc<BoundedQueue<String>>,
     writer: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl AccessLog {
     /// Opens (appending) the log file and starts the writer thread.
-    pub fn open(path: &Path) -> std::io::Result<AccessLog> {
+    pub(crate) fn open(path: &Path) -> std::io::Result<AccessLog> {
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)?;
@@ -138,7 +138,7 @@ impl AccessLog {
     /// Enqueues one record; drops (and counts) when the writer is
     /// behind. The formatting happens on the calling shard — cheap —
     /// while all file I/O stays on the writer thread.
-    pub fn log(&self, record: &AccessRecord) {
+    pub(crate) fn log(&self, record: &AccessRecord) {
         if let Push::Rejected(_) = self.queue.try_push(record.to_json_line()) {
             ntc_obs::counter_add("serve.accesslog.dropped", 1);
         }
@@ -146,7 +146,7 @@ impl AccessLog {
 
     /// Closes the queue and joins the writer once every buffered line
     /// is on disk. Idempotent.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.queue.close();
         if let Some(writer) = self
             .writer

@@ -120,7 +120,7 @@ impl ServerState {
 
     /// Fresh state backed by an optional artifact store and a memo cap
     /// (`0` = no in-memory memo; every repeat goes to the store).
-    pub fn with_store(default_seed: u64, store: Option<Store>, memo_cap: usize) -> Self {
+    pub(crate) fn with_store(default_seed: u64, store: Option<Store>, memo_cap: usize) -> Self {
         ServerState {
             models: Models::paper(),
             default_seed,
@@ -219,7 +219,7 @@ impl ServerState {
 
 /// Content type of the Prometheus text exposition format the
 /// `/v1/metrics?format=prom` endpoint speaks.
-pub const PROM_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
+pub(crate) const PROM_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
 
 /// A routed response: status, body and the content type to frame it with.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -235,7 +235,7 @@ pub struct Reply {
 impl Reply {
     /// A JSON reply (the default for every route).
     #[must_use]
-    pub fn json(status: u16, body: String) -> Reply {
+    pub(crate) fn json(status: u16, body: String) -> Reply {
         Reply { status, content_type: "application/json", body }
     }
 }
@@ -251,7 +251,7 @@ fn versioned(path: &str) -> Option<&str> {
 /// never reach metric names, so an attacker spraying random URLs
 /// cannot explode the registry.
 #[must_use]
-pub fn route_label(path: &str) -> &'static str {
+pub(crate) fn route_label(path: &str) -> &'static str {
     match versioned(path) {
         Some("/healthz") => "healthz",
         Some("/metrics") => "metrics",
@@ -267,7 +267,7 @@ pub fn route_label(path: &str) -> &'static str {
 }
 
 /// A structured error body: `{"error":{"kind":...,"message":...}}`.
-pub fn error_body(kind: &str, message: &str) -> String {
+pub(crate) fn error_body(kind: &str, message: &str) -> String {
     ErrorBody::new(kind, message).to_json()
 }
 

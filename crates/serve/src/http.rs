@@ -21,10 +21,10 @@ use std::net::TcpStream;
 
 /// Largest accepted header block, in bytes, counting the blank line
 /// that ends it.
-pub const MAX_HEAD: usize = 16 * 1024;
+pub(crate) const MAX_HEAD: usize = 16 * 1024;
 
 /// Largest accepted request body, in bytes.
-pub const MAX_BODY: usize = 1024 * 1024;
+pub(crate) const MAX_BODY: usize = 1024 * 1024;
 
 /// A parsed request: method, path (query string split off), body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,7 +41,7 @@ pub struct Request {
 
 impl Request {
     /// The value of a `key=value` pair in the query string.
-    pub fn query_param(&self, key: &str) -> Option<&str> {
+    pub(crate) fn query_param(&self, key: &str) -> Option<&str> {
         self.query.split('&').find_map(|pair| {
             let (k, v) = pair.split_once('=')?;
             (k == key).then_some(v)
@@ -139,7 +139,7 @@ fn read_head(reader: &mut impl BufRead) -> Result<Vec<u8>, FrameError> {
 }
 
 /// The reason phrase for the status codes this service emits.
-pub fn reason(status: u16) -> &'static str {
+pub(crate) fn reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",
@@ -158,7 +158,7 @@ pub fn reason(status: u16) -> &'static str {
 /// own latency sample to the server-side record. Head and body go out
 /// in one `write_all`. Errors are returned so the worker can count
 /// them, but a dead peer is not fatal to anyone but itself.
-pub fn write_response_full(
+pub(crate) fn write_response_full(
     stream: &mut TcpStream,
     status: u16,
     content_type: &str,

@@ -18,7 +18,7 @@ use std::sync::{Condvar, Mutex};
 
 /// A close-able bounded MPMC queue.
 #[derive(Debug)]
-pub struct BoundedQueue<T> {
+pub(crate) struct BoundedQueue<T> {
     inner: Mutex<Inner<T>>,
     ready: Condvar,
     capacity: usize,
@@ -32,7 +32,7 @@ struct Inner<T> {
 
 /// Outcome of a non-blocking push.
 #[derive(Debug, PartialEq, Eq)]
-pub enum Push<T> {
+pub(crate) enum Push<T> {
     /// Enqueued; carries the queue depth right after the push.
     Accepted(usize),
     /// Queue full (or closed) — the item comes back to the caller.
@@ -46,7 +46,7 @@ impl<T> BoundedQueue<T> {
     ///
     /// Panics if `capacity` is zero — a zero-capacity queue would
     /// reject every request.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be positive");
         BoundedQueue {
             inner: Mutex::new(Inner { items: VecDeque::with_capacity(capacity), closed: false }),
@@ -55,19 +55,14 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Current queue depth.
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.inner.lock().expect("queue lock").items.len()
     }
 
     /// Non-blocking push: rejects instead of waiting when full, so the
     /// acceptor can turn overflow into an immediate `503`.
-    pub fn try_push(&self, item: T) -> Push<T> {
+    pub(crate) fn try_push(&self, item: T) -> Push<T> {
         let mut inner = self.inner.lock().expect("queue lock");
         if inner.closed || inner.items.len() >= self.capacity {
             return Push::Rejected(item);
@@ -82,7 +77,7 @@ impl<T> BoundedQueue<T> {
     /// Blocking pop. Returns `None` only when the queue is closed
     /// *and* drained — pending work is always completed before workers
     /// see the close, which is what makes shutdown graceful.
-    pub fn pop(&self) -> Option<T> {
+    pub(crate) fn pop(&self) -> Option<T> {
         let mut inner = self.inner.lock().expect("queue lock");
         loop {
             if let Some(item) = inner.items.pop_front() {
@@ -99,7 +94,7 @@ impl<T> BoundedQueue<T> {
     /// worker; already-queued items still drain through [`pop`].
     ///
     /// [`pop`]: BoundedQueue::pop
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.inner.lock().expect("queue lock").closed = true;
         self.ready.notify_all();
     }

@@ -56,7 +56,7 @@ impl Models {
     }
 
     /// Aggregate cache counters across the three models.
-    pub fn cache_stats(&self) -> ntc_memcalc::cache::CacheStats {
+    pub(crate) fn cache_stats(&self) -> ntc_memcalc::cache::CacheStats {
         let (mut hits, mut misses) = (0, 0);
         for m in [&self.platform, &self.cots, &self.cell] {
             let s = m.stats();

@@ -256,6 +256,20 @@ fn malformed_json_is_400_with_a_structured_error() {
 }
 
 #[test]
+fn deeply_nested_body_is_400_and_the_server_stays_up() {
+    // 400 KB, under the body cap. Without a depth bound, 200,000 nested
+    // arrays overflow a worker's stack and abort the whole process.
+    let server = quick_server();
+    let addr = server.addr();
+    let body = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
+    let got = post(addr, "/v1/query", &body);
+    assert_eq!(got.status, 400);
+    assert_eq!(error_kind(&got.body), "malformed_json");
+    assert_eq!(get(addr, "/v1/healthz").status, 200);
+    server.shutdown();
+}
+
+#[test]
 fn unknown_experiment_is_404_and_names_valid_ids() {
     let server = quick_server();
     let got = post(server.addr(), "/v1/run", r#"{"id":"fig99","scale":"quick"}"#);

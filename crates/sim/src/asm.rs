@@ -157,38 +157,6 @@ pub fn assemble_instructions(source: &str) -> Result<Vec<Instruction>, AsmError>
     Ok(out)
 }
 
-/// Disassembles encoded words into an address-annotated listing.
-///
-/// Undecodable words are shown as `.word 0x…` — the listing is total, so
-/// it can render corrupted instruction memory.
-///
-/// # Example
-///
-/// ```
-/// # fn main() -> Result<(), ntc_sim::asm::AsmError> {
-/// let words = ntc_sim::asm::assemble("addi r1, r0, 7\nhalt")?;
-/// let listing = ntc_sim::asm::disassemble(&words);
-/// assert!(listing.contains("addi r1, r0, 7"));
-/// assert!(listing.contains("halt"));
-/// # Ok(())
-/// # }
-/// ```
-pub fn disassemble(words: &[u32]) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    for (addr, &w) in words.iter().enumerate() {
-        match Instruction::decode(w) {
-            Ok(insn) => {
-                let _ = writeln!(out, "{addr:>6}: {insn}");
-            }
-            Err(_) => {
-                let _ = writeln!(out, "{addr:>6}: .word {w:#010x}");
-            }
-        }
-    }
-    out
-}
-
 struct Ctx<'a> {
     line: usize,
     labels: &'a HashMap<String, usize>,
@@ -566,26 +534,5 @@ mod tests {
         for w in words {
             Instruction::decode(w).unwrap();
         }
-    }
-
-    #[test]
-    fn disassembly_round_trips_through_the_assembler() {
-        let src = "addi r1, r0, 5\nlw r2, 4(r1)\nmul r3, r2, r1\nsw r3, 8(r1)\nhalt";
-        let words = assemble(src).unwrap();
-        let listing = disassemble(&words);
-        // Strip addresses and reassemble: identical encodings.
-        let stripped: String = listing
-            .lines()
-            .map(|l| l.split_once(": ").expect("address prefix").1)
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert_eq!(assemble(&stripped).unwrap(), words);
-    }
-
-    #[test]
-    fn disassembly_is_total_on_garbage() {
-        let listing = disassemble(&[0xFFFF_FFFF, Instruction::Halt.encode()]);
-        assert!(listing.contains(".word 0xffffffff"));
-        assert!(listing.contains("halt"));
     }
 }

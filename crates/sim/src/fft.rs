@@ -131,7 +131,8 @@ pub fn fft_fixed(data: &mut [u32], tw: &[u32]) {
 
 /// Reference double-precision DFT (direct O(n²) sum), for accuracy checks
 /// against the fixed-point kernel. Returns `(re, im)` pairs, unscaled.
-pub fn dft_f64(input: &[(f64, f64)]) -> Vec<(f64, f64)> {
+#[cfg(test)]
+pub(crate) fn dft_f64(input: &[(f64, f64)]) -> Vec<(f64, f64)> {
     let n = input.len();
     (0..n)
         .map(|k| {

@@ -28,7 +28,7 @@ pub struct Reg(u8);
 
 impl Reg {
     /// The zero register.
-    pub const R0: Reg = Reg(0);
+    pub(crate) const R0: Reg = Reg(0);
 
     /// Creates a register index.
     ///
@@ -41,7 +41,7 @@ impl Reg {
     }
 
     /// The numeric index.
-    pub fn index(&self) -> usize {
+    pub(crate) fn index(&self) -> usize {
         self.0 as usize
     }
 }
@@ -111,35 +111,35 @@ pub enum Instruction {
 
 /// Opcode byte values.
 mod op {
-    pub const HALT: u8 = 0x00;
-    pub const ADD: u8 = 0x01;
-    pub const SUB: u8 = 0x02;
-    pub const AND: u8 = 0x03;
-    pub const OR: u8 = 0x04;
-    pub const XOR: u8 = 0x05;
-    pub const SLL: u8 = 0x06;
-    pub const SRL: u8 = 0x07;
-    pub const SRA: u8 = 0x08;
-    pub const MUL: u8 = 0x09;
-    pub const SLT: u8 = 0x0A;
-    pub const ADDI: u8 = 0x10;
-    pub const ANDI: u8 = 0x11;
-    pub const ORI: u8 = 0x12;
-    pub const XORI: u8 = 0x13;
-    pub const SLLI: u8 = 0x14;
-    pub const SRLI: u8 = 0x15;
-    pub const SRAI: u8 = 0x16;
-    pub const LUI: u8 = 0x17;
-    pub const SLTI: u8 = 0x18;
-    pub const LW: u8 = 0x20;
-    pub const SW: u8 = 0x21;
-    pub const BEQ: u8 = 0x30;
-    pub const BNE: u8 = 0x31;
-    pub const BLT: u8 = 0x32;
-    pub const BGE: u8 = 0x33;
-    pub const JAL: u8 = 0x40;
-    pub const JALR: u8 = 0x41;
-    pub const ECALL: u8 = 0x50;
+    pub(crate) const HALT: u8 = 0x00;
+    pub(crate) const ADD: u8 = 0x01;
+    pub(crate) const SUB: u8 = 0x02;
+    pub(crate) const AND: u8 = 0x03;
+    pub(crate) const OR: u8 = 0x04;
+    pub(crate) const XOR: u8 = 0x05;
+    pub(crate) const SLL: u8 = 0x06;
+    pub(crate) const SRL: u8 = 0x07;
+    pub(crate) const SRA: u8 = 0x08;
+    pub(crate) const MUL: u8 = 0x09;
+    pub(crate) const SLT: u8 = 0x0A;
+    pub(crate) const ADDI: u8 = 0x10;
+    pub(crate) const ANDI: u8 = 0x11;
+    pub(crate) const ORI: u8 = 0x12;
+    pub(crate) const XORI: u8 = 0x13;
+    pub(crate) const SLLI: u8 = 0x14;
+    pub(crate) const SRLI: u8 = 0x15;
+    pub(crate) const SRAI: u8 = 0x16;
+    pub(crate) const LUI: u8 = 0x17;
+    pub(crate) const SLTI: u8 = 0x18;
+    pub(crate) const LW: u8 = 0x20;
+    pub(crate) const SW: u8 = 0x21;
+    pub(crate) const BEQ: u8 = 0x30;
+    pub(crate) const BNE: u8 = 0x31;
+    pub(crate) const BLT: u8 = 0x32;
+    pub(crate) const BGE: u8 = 0x33;
+    pub(crate) const JAL: u8 = 0x40;
+    pub(crate) const JALR: u8 = 0x41;
+    pub(crate) const ECALL: u8 = 0x50;
 }
 
 fn enc_r(opcode: u8, rd: Reg, rs1: Reg, rs2: Reg) -> u32 {
@@ -257,7 +257,7 @@ impl Instruction {
     /// Cycle cost of this instruction on the ARM9-flavoured timing model
     /// (not counting memory wait states): multiplies take 2 cycles, taken
     /// control transfers 2 (pipeline refill), everything else 1.
-    pub fn base_cycles(&self) -> u64 {
+    pub(crate) fn base_cycles(&self) -> u64 {
         use Instruction::*;
         match self {
             Mul { .. } | Jal { .. } | Jalr { .. } => 2,

@@ -73,7 +73,7 @@ impl fmt::Display for Trap {
 
 impl std::error::Error for Trap {}
 
-/// What one [`Core::step`] did.
+/// What one `Core::step` did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepEvent {
     /// Core cycles consumed (memory wait states are charged by the caller).
@@ -141,17 +141,17 @@ impl Core {
     }
 
     /// Current program counter (instruction index).
-    pub fn pc(&self) -> usize {
+    pub(crate) fn pc(&self) -> usize {
         self.pc
     }
 
     /// Reads a register (`r0` is always zero).
-    pub fn reg(&self, r: Reg) -> u32 {
+    pub(crate) fn reg(&self, r: Reg) -> u32 {
         self.regs[r.index()]
     }
 
     /// Writes a register (writes to `r0` are ignored).
-    pub fn set_reg(&mut self, r: Reg, value: u32) {
+    pub(crate) fn set_reg(&mut self, r: Reg, value: u32) {
         if r.index() != 0 {
             self.regs[r.index()] = value;
         }
@@ -163,7 +163,7 @@ impl Core {
     ///
     /// Returns a [`Trap`] on invalid fetches, bad addresses, or
     /// uncorrectable data errors signalled by the backend.
-    pub fn step(&mut self, im: &[u32], mem: &mut dyn DataPort) -> Result<StepEvent, Trap> {
+    pub(crate) fn step(&mut self, im: &[u32], mem: &mut dyn DataPort) -> Result<StepEvent, Trap> {
         use Instruction::*;
         let pc = self.pc;
         let word = *im.get(pc).ok_or(Trap::PcOutOfRange { pc })?;

@@ -116,11 +116,6 @@ impl FaultInjector {
         Self::with_p(0.0, 0)
     }
 
-    /// The per-bit flip probability.
-    pub fn p_bit(&self) -> f64 {
-        self.p_bit
-    }
-
     /// Total bits flipped so far.
     pub fn injected(&self) -> u64 {
         self.injected
@@ -163,7 +158,7 @@ impl FaultInjector {
     /// # Panics
     ///
     /// Panics if `bits` is 0 or above 128.
-    pub fn mask_block(&mut self, bits: u32, out: &mut [u128]) {
+    pub(crate) fn mask_block(&mut self, bits: u32, out: &mut [u128]) {
         assert!(bits > 0 && bits <= 128, "bits must be in 1..=128, got {bits}");
         if self.p_bit <= 0.0 {
             out.fill(0);
@@ -372,15 +367,6 @@ impl SecdedMemory {
         self.injector.injected()
     }
 
-    /// XORs `mask` into the stored codeword (test / experiment hook).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `word_index` is out of range.
-    pub fn corrupt(&mut self, word_index: usize, mask: u64) {
-        self.data[word_index] ^= mask;
-    }
-
     /// Applies a standby retention event to the stored codewords (39 bits
     /// per word flip with probability `p_bit`). Returns the bits lost.
     /// Follow with a scrub pass (read every word) to repair singles.
@@ -477,7 +463,8 @@ impl ProtectedMemory {
 
     /// Attaches a fault injector.
     #[must_use]
-    pub fn with_injector(mut self, injector: FaultInjector) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_injector(mut self, injector: FaultInjector) -> Self {
         self.injector = injector;
         self
     }
@@ -503,12 +490,14 @@ impl ProtectedMemory {
     /// # Panics
     ///
     /// Panics if `word_index` is out of range.
-    pub fn store(&mut self, word_index: usize, value: u32) {
+    #[cfg(test)]
+    pub(crate) fn store(&mut self, word_index: usize, value: u32) {
         self.data[word_index] = self.code.encode(value);
     }
 
     /// Protection statistics so far.
-    pub fn stats(&self) -> ProtectionStats {
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> ProtectionStats {
         self.stats
     }
 

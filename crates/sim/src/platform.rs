@@ -9,7 +9,6 @@
 //! (crate `ntc-ocean`) drives [`Platform::step`] directly so it can
 //! intercept `ecall` phase markers and roll the platform back.
 
-use crate::isa::Reg;
 use crate::machine::{Core, StepEvent, Trap};
 use crate::memory::{DataPort, ProtectedMemory};
 use ntc_ecc::{BchQuad, EccEnergyModel, Secded};
@@ -30,7 +29,7 @@ pub struct ModuleEnergy {
 
 impl ModuleEnergy {
     /// Total energy of the module.
-    pub fn total_j(&self) -> f64 {
+    pub(crate) fn total_j(&self) -> f64 {
         self.dynamic_j + self.leakage_j
     }
 }
@@ -43,22 +42,23 @@ pub struct EnergyLedger {
 
 impl EnergyLedger {
     /// An empty ledger.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Adds dynamic energy to a module.
-    pub fn charge_dynamic(&mut self, module: &str, joules: f64) {
+    pub(crate) fn charge_dynamic(&mut self, module: &str, joules: f64) {
         self.modules.entry(module.to_string()).or_default().dynamic_j += joules;
     }
 
     /// Adds leakage energy to a module.
-    pub fn charge_leakage(&mut self, module: &str, joules: f64) {
+    pub(crate) fn charge_leakage(&mut self, module: &str, joules: f64) {
         self.modules.entry(module.to_string()).or_default().leakage_j += joules;
     }
 
     /// Energy of one module (zero if never charged).
-    pub fn module(&self, name: &str) -> ModuleEnergy {
+    #[cfg(test)]
+    pub(crate) fn module(&self, name: &str) -> ModuleEnergy {
         self.modules.get(name).copied().unwrap_or_default()
     }
 
@@ -68,17 +68,19 @@ impl EnergyLedger {
     }
 
     /// Total energy over all modules.
-    pub fn total_j(&self) -> f64 {
+    pub(crate) fn total_j(&self) -> f64 {
         self.modules.values().map(ModuleEnergy::total_j).sum()
     }
 
     /// Total dynamic energy.
-    pub fn dynamic_j(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn dynamic_j(&self) -> f64 {
         self.modules.values().map(|m| m.dynamic_j).sum()
     }
 
     /// Total leakage energy.
-    pub fn leakage_j(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn leakage_j(&self) -> f64 {
         self.modules.values().map(|m| m.leakage_j).sum()
     }
 }
@@ -362,16 +364,6 @@ impl<M: DataPort> Platform<M> {
         self.pm.as_mut()
     }
 
-    /// The core (read-only view).
-    pub fn core(&self) -> &Core {
-        &self.core
-    }
-
-    /// Writes a register before starting (argument passing).
-    pub fn set_reg(&mut self, r: Reg, value: u32) {
-        self.core.set_reg(r, value);
-    }
-
     /// The energy ledger.
     pub fn ledger(&self) -> &EnergyLedger {
         &self.ledger
@@ -415,7 +407,7 @@ impl<M: DataPort> Platform<M> {
     /// # Errors
     ///
     /// Propagates the backend's fault.
-    pub fn sp_capture(&mut self, word_index: usize) -> Result<u32, crate::memory::MemoryFault> {
+    pub(crate) fn sp_capture(&mut self, word_index: usize) -> Result<u32, crate::memory::MemoryFault> {
         self.ledger.charge_dynamic("sp", self.costs.sp_read_j);
         self.sp.read(word_index)
     }

@@ -13,7 +13,7 @@ use std::fmt;
 
 /// Instruction categories for the mix histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum InsnClass {
+pub(crate) enum InsnClass {
     /// Register and immediate ALU operations.
     Alu,
     /// Multiplies.
@@ -30,7 +30,7 @@ pub enum InsnClass {
 
 impl InsnClass {
     /// Classifies an instruction.
-    pub fn of(insn: &Instruction) -> Self {
+    pub(crate) fn of(insn: &Instruction) -> Self {
         use Instruction::*;
         match insn {
             Mul { .. } => InsnClass::Mul,
@@ -45,7 +45,7 @@ impl InsnClass {
     }
 
     /// All classes, in display order.
-    pub const ALL: [InsnClass; 6] = [
+    pub(crate) const ALL: [InsnClass; 6] = [
         InsnClass::Alu,
         InsnClass::Mul,
         InsnClass::Load,
@@ -82,7 +82,7 @@ pub struct Profile {
     pub stores: u64,
     /// `ecall 1` phase markers seen.
     pub phase_markers: u64,
-    /// Per-class instruction counts, indexed by [`InsnClass::ALL`] order.
+    /// Per-class instruction counts, indexed by `InsnClass::ALL` order.
     pub class_counts: [u64; 6],
 }
 
@@ -93,7 +93,8 @@ impl Profile {
     }
 
     /// Fraction of instructions in `class`.
-    pub fn class_fraction(&self, class: InsnClass) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn class_fraction(&self, class: InsnClass) -> f64 {
         if self.instructions == 0 {
             return 0.0;
         }
@@ -102,7 +103,7 @@ impl Profile {
     }
 
     /// Cycles per instruction.
-    pub fn cpi(&self) -> f64 {
+    pub(crate) fn cpi(&self) -> f64 {
         if self.instructions == 0 {
             0.0
         } else {

@@ -101,17 +101,20 @@ impl DieMapConfig {
     }
 
     /// Rows of the bit array.
-    pub fn rows(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Columns of the bit array.
-    pub fn cols(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
     /// The retention law the population follows.
-    pub fn law(&self) -> &RetentionLaw {
+    #[cfg(test)]
+    pub(crate) fn law(&self) -> &RetentionLaw {
         &self.law
     }
 
@@ -223,23 +226,20 @@ impl DieMap {
     }
 
     /// Rows of the bit array.
-    pub fn rows(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Columns of the bit array.
-    pub fn cols(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
     /// Total number of bits.
-    pub fn bits(&self) -> usize {
+    pub(crate) fn bits(&self) -> usize {
         self.v_ret.len()
-    }
-
-    /// The die-to-die offset this die was synthesized with, in volts.
-    pub fn die_offset(&self) -> f64 {
-        self.die_offset
     }
 
     /// Minimal retention voltage of the bit at `(row, col)`, in volts.
@@ -247,7 +247,8 @@ impl DieMap {
     /// # Panics
     ///
     /// Panics if the position is out of bounds.
-    pub fn v_ret(&self, row: usize, col: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn v_ret(&self, row: usize, col: usize) -> f64 {
         assert!(row < self.rows && col < self.cols, "bit ({row}, {col}) out of bounds");
         self.v_ret[row * self.cols + col]
     }

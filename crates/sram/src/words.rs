@@ -84,16 +84,11 @@ impl WordErrorModel {
         Self { bits }
     }
 
-    /// Word width in bits.
-    pub fn bits(&self) -> u32 {
-        self.bits
-    }
-
     /// `ln P(exactly m bits fail)` at per-bit probability `p`.
     ///
     /// Returns `−∞` when the event is impossible (`m > bits`, or `p` at a
     /// degenerate endpoint that excludes `m`).
-    pub fn ln_p_exactly(&self, m: u32, p: f64) -> f64 {
+    pub(crate) fn ln_p_exactly(&self, m: u32, p: f64) -> f64 {
         let n = self.bits;
         if m > n || !(0.0..=1.0).contains(&p) {
             return f64::NEG_INFINITY;
@@ -116,7 +111,7 @@ impl WordErrorModel {
 
     /// `ln P(at least m bits fail)` at per-bit probability `p`, summed
     /// exactly over all binomial terms with log-sum-exp.
-    pub fn ln_p_at_least(&self, m: u32, p: f64) -> f64 {
+    pub(crate) fn ln_p_at_least(&self, m: u32, p: f64) -> f64 {
         if m == 0 {
             return 0.0;
         }
@@ -134,7 +129,7 @@ impl WordErrorModel {
 
     /// `ln P(word failure)` for a scheme that corrects up to `correctable`
     /// bit errors per word: failure means `correctable + 1` or more errors.
-    pub fn ln_p_word_failure(&self, correctable: u32, p: f64) -> f64 {
+    pub(crate) fn ln_p_word_failure(&self, correctable: u32, p: f64) -> f64 {
         self.ln_p_at_least(correctable + 1, p)
     }
 
@@ -297,22 +292,12 @@ impl CorrelatedWordModel {
         Ok(Self { bits, rho })
     }
 
-    /// Word width in bits.
-    pub fn bits(&self) -> u32 {
-        self.bits
-    }
-
-    /// Intra-word correlation.
-    pub fn rho(&self) -> f64 {
-        self.rho
-    }
-
     /// `ln P(exactly m bits fail)` under the beta-binomial with mean `p`.
     ///
     /// Uses the standard parameterization `alpha = p·(1−rho)/rho`,
     /// `beta = (1−p)·(1−rho)/rho`, and
     /// `P(m) = C(n,m)·B(m+α, n−m+β)/B(α, β)` in log domain.
-    pub fn ln_p_exactly(&self, m: u32, p: f64) -> f64 {
+    pub(crate) fn ln_p_exactly(&self, m: u32, p: f64) -> f64 {
         let n = self.bits;
         if m > n || !(0.0..=1.0).contains(&p) {
             return f64::NEG_INFINITY;
@@ -683,8 +668,8 @@ mod tests {
         let m = CorrelatedWordModel::new(39, 0.1).unwrap();
         assert!(!m.to_string().is_empty());
         assert!(!CorrelationError.to_string().is_empty());
-        assert_eq!(m.bits(), 39);
-        assert!((m.rho() - 0.1).abs() < 1e-15);
+        assert_eq!(m.bits, 39);
+        assert!((m.rho - 0.1).abs() < 1e-15);
     }
 
     #[test]

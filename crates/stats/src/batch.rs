@@ -4,7 +4,7 @@
 //! trial for a closure call, a data-dependent branch and two accumulator
 //! updates; at ~2 ns/trial the generator's serial dependency chain and the
 //! bookkeeping dominate. The kernels here restructure the hot loop into
-//! blocks of [`BLOCK`] f64/u64 lanes:
+//! blocks of `BLOCK` f64/u64 lanes:
 //!
 //! * the generator fills a whole block up front ([`Source::fill_uniform_bits`]
 //!   / [`Source::fill_standard_normal`]), keeping its serial chain tight and
@@ -19,12 +19,12 @@
 //!
 //! Two generator disciplines coexist deliberately:
 //!
-//! 1. **Stream-preserving** kernels ([`count_uniform_below`],
-//!    [`count_normal_above`]) consume an existing [`Source`] in its exact
+//! 1. **Stream-preserving** kernels (`count_uniform_below`,
+//!    `count_normal_above`) consume an existing [`Source`] in its exact
 //!    draw order, so consumers that already committed artifacts keep them
 //!    byte-identical while gaining the block accumulation.
 //! 2. **Counter-based lane** kernels ([`count_lane_below`]) index draws by
-//!    trial number through [`lane_u64`], removing the loop-carried
+//!    trial number through `lane_u64`, removing the loop-carried
 //!    state entirely; these are the fastest and are used where no legacy
 //!    stream constrains the layout (throughput kernels, the tilted
 //!    importance sampler in [`crate::mc::tilted`]).
@@ -38,7 +38,7 @@ use crate::rng::{lane_u64, Source};
 /// Lane width of one SoA block: big enough to amortize loop overhead and
 /// let the auto-vectorizer unroll, small enough to stay in L1 (8 KiB of
 /// f64 lanes).
-pub const BLOCK: usize = 1024;
+pub(crate) const BLOCK: usize = 1024;
 
 /// The integer threshold deciding `uniform() < p` in the mantissa domain.
 ///
@@ -73,11 +73,11 @@ pub fn mantissa_threshold(p: f64) -> u64 {
 /// `(0..n).filter(|_| src.uniform() < p).count()` — the draws are the same
 /// stream and the threshold test is exact (see [`mantissa_threshold`]) —
 /// while the compare-and-accumulate runs block-wise over integer lanes.
-pub fn count_uniform_below(src: &mut Source, n: u64, p: f64) -> u64 {
+pub(crate) fn count_uniform_below(src: &mut Source, n: u64, p: f64) -> u64 {
     count_uniform_below_with_block(src, n, p, BLOCK)
 }
 
-/// [`count_uniform_below`] with an explicit block size (exposed so the
+/// `count_uniform_below` with an explicit block size (exposed so the
 /// property tests can prove hit counts are block-size invariant).
 ///
 /// # Panics
@@ -110,11 +110,11 @@ pub fn count_uniform_below_with_block(src: &mut Source, n: u64, p: f64, block: u
 /// `src.normal(mean, sigma) > threshold`: the block fill preserves the
 /// polar pair cache across boundaries and the per-lane expression
 /// `mean + sigma * z` is the same f64 arithmetic the scalar path runs.
-pub fn count_normal_above(src: &mut Source, n: u64, mean: f64, sigma: f64, threshold: f64) -> u64 {
+pub(crate) fn count_normal_above(src: &mut Source, n: u64, mean: f64, sigma: f64, threshold: f64) -> u64 {
     count_normal_above_with_block(src, n, mean, sigma, threshold, BLOCK)
 }
 
-/// [`count_normal_above`] with an explicit block size (for the block-size
+/// `count_normal_above` with an explicit block size (for the block-size
 /// invariance property tests).
 ///
 /// # Panics

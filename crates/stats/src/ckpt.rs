@@ -21,7 +21,7 @@
 //!    cache miss, never a wrong answer.
 //! 3. [`CheckpointSink`] — where checkpoints go. Installing a sink (the
 //!    on-disk store in `ntc::store`, or an in-memory map in tests) switches
-//!    the keyed collectives ([`par_mergeable_keyed`], [`par_map_keyed`])
+//!    the keyed collectives ([`par_mergeable_keyed`], `par_map_keyed`)
 //!    from compute-only to restore-or-compute-and-save. With no sink
 //!    installed the keyed paths are byte-identical to the plain ones —
 //!    committed experiments see zero change.
@@ -42,7 +42,7 @@
 //! A sink may decline to *compute* shards outside its claimed range
 //! ([`CheckpointSink::owns_shard`]). Skipped shards contribute the
 //! accumulator identity to the fold and bump the process-wide
-//! [`missing_shards`] count; a caller that observes `take_missing() > 0`
+//! missing-shard count; a caller that observes `take_missing() > 0`
 //! after a run knows the result is partial and must not publish it. Once
 //! every worker has checkpointed its range, any process can replay the
 //! collective with full ownership and fold restored shards into the exact
@@ -105,18 +105,18 @@ pub fn put_u64(out: &mut Vec<u8>, v: u64) {
 }
 
 /// Appends an `f64` as its little-endian bit pattern (bit-exact).
-pub fn put_f64(out: &mut Vec<u8>, v: f64) {
+pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
     put_u64(out, v.to_bits());
 }
 
 /// Reads a little-endian `u64` at byte offset `at`.
-pub fn get_u64(bytes: &[u8], at: usize) -> Option<u64> {
+pub(crate) fn get_u64(bytes: &[u8], at: usize) -> Option<u64> {
     let b: [u8; 8] = bytes.get(at..at + 8)?.try_into().ok()?;
     Some(u64::from_le_bytes(b))
 }
 
 /// Reads an `f64` bit pattern at byte offset `at`.
-pub fn get_f64(bytes: &[u8], at: usize) -> Option<f64> {
+pub(crate) fn get_f64(bytes: &[u8], at: usize) -> Option<f64> {
     get_u64(bytes, at).map(f64::from_bits)
 }
 
@@ -135,16 +135,16 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 /// Accumulates heterogeneous kernel parameters into a single `u64` salt
 /// for a [`CollectiveKey`] (FNV-1a over the exact bit patterns).
 #[derive(Debug, Clone, Copy)]
-pub struct Salt(u64);
+pub(crate) struct Salt(u64);
 
 impl Salt {
     /// Starts a fresh salt accumulator.
     #[allow(clippy::new_without_default)]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Salt(0xcbf2_9ce4_8422_2325)
     }
     /// Folds a `u64` in.
-    pub fn u64(self, v: u64) -> Self {
+    pub(crate) fn u64(self, v: u64) -> Self {
         let mut h = self.0;
         for &b in &v.to_le_bytes() {
             h ^= u64::from(b);
@@ -153,11 +153,11 @@ impl Salt {
         Salt(h)
     }
     /// Folds an `f64`'s exact bit pattern in.
-    pub fn f64(self, v: f64) -> Self {
+    pub(crate) fn f64(self, v: f64) -> Self {
         self.u64(v.to_bits())
     }
     /// The folded salt value.
-    pub fn finish(self) -> u64 {
+    pub(crate) fn finish(self) -> u64 {
         self.0
     }
 }
@@ -167,7 +167,7 @@ impl Salt {
 // ---------------------------------------------------------------------
 
 /// Binary magic prefixing every encoded checkpoint (`"NTCKP1"`).
-pub const CKPT_MAGIC: &[u8; 6] = b"NTCKP1";
+pub(crate) const CKPT_MAGIC: &[u8; 6] = b"NTCKP1";
 
 /// One shard's checkpoint: identity (shard, seed, trial range, type tag)
 /// plus the accumulator payload, wrapped with an integrity hash on encode.
@@ -273,7 +273,7 @@ impl CollectiveKey {
     }
 
     /// Sets the parameter salt.
-    pub fn with_salt(mut self, salt: u64) -> Self {
+    pub(crate) fn with_salt(mut self, salt: u64) -> Self {
         self.salt = salt;
         self
     }
@@ -337,13 +337,10 @@ impl MemorySink {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-    /// Drops every held checkpoint.
-    pub fn clear(&self) {
-        self.map.lock().unwrap().clear();
-    }
     /// Copies all checkpoints out of `other` (simulates a shared store
     /// between two workers in tests).
-    pub fn absorb(&self, other: &MemorySink) {
+    #[cfg(test)]
+    pub(crate) fn absorb(&self, other: &MemorySink) {
         let src = other.map.lock().unwrap();
         let mut dst = self.map.lock().unwrap();
         for (k, v) in src.iter() {
@@ -390,7 +387,7 @@ pub fn uninstall() {
 
 /// Whether a checkpoint sink is installed (single relaxed-load fast path
 /// on the hot collective entry).
-pub fn active() -> bool {
+pub(crate) fn active() -> bool {
     ACTIVE.load(Ordering::Relaxed)
 }
 
@@ -402,19 +399,12 @@ pub fn set_scope(scope: &str) {
 }
 
 /// The current ambient scope (`"global"` when unset).
-pub fn scope() -> String {
+pub(crate) fn scope() -> String {
     SCOPE
         .lock()
         .unwrap()
         .clone()
         .unwrap_or_else(|| "global".to_string())
-}
-
-/// Shards skipped (not computed, not restored) since the last
-/// [`take_missing`] — nonzero means some result folded identities for
-/// unowned shards and is **partial**.
-pub fn missing_shards() -> u64 {
-    MISSING.load(Ordering::SeqCst)
 }
 
 /// Reads and resets the missing-shard count.
@@ -524,11 +514,11 @@ where
     })
 }
 
-/// [`crate::exec::par_mergeable`] with checkpointing: restores completed
+/// `crate::exec::par_mergeable` with checkpointing: restores completed
 /// shards from the installed sink, computes-and-saves owned missing
 /// shards, folds **in shard order**. With no sink installed this is
 /// exactly `par_mergeable(shards, f)`. Unowned shards fold as the
-/// accumulator identity (`T::default()`) and bump [`missing_shards`].
+/// accumulator identity (`T::default()`) and bump the count [`take_missing`] reads.
 ///
 /// # Panics
 ///
@@ -564,9 +554,9 @@ where
 
 /// [`crate::exec::par_map`] over shards with checkpointing; unowned
 /// missing shards come back as `T::default()` (and bump
-/// [`missing_shards`]). With no sink installed this is exactly
+/// [`take_missing`]). With no sink installed this is exactly
 /// `par_map(shards, f)`.
-pub fn par_map_keyed<T, F>(key: &CollectiveKey, shards: usize, f: F) -> Vec<T>
+pub(crate) fn par_map_keyed<T, F>(key: &CollectiveKey, shards: usize, f: F) -> Vec<T>
 where
     T: Mergeable + Persist + Default + Send,
     F: Fn(usize) -> T + Sync,

@@ -1,7 +1,7 @@
 //! Monte-Carlo convergence diagnostics over the fixed 64-shard layout.
 //!
 //! Every sharded Monte-Carlo estimate in this workspace is reduced from
-//! per-shard accumulators ([`TrialCounter`] / [`Moments`]) that merge
+//! per-shard accumulators (such as [`TrialCounter`]) that merge
 //! exactly (see `exec`). That structure is itself diagnostic material:
 //! the shards are independent, identically-seeded sub-experiments, so
 //! splitting them into two halves gives two independent estimates of
@@ -34,7 +34,7 @@
 //! or not.
 
 use crate::mc::tilted::TiltedCounter;
-use crate::mc::{z_for_confidence, Moments, TrialCounter};
+use crate::mc::{z_for_confidence, TrialCounter};
 
 /// Convergence summary of a sharded Monte-Carlo estimate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,7 +60,7 @@ pub struct Convergence {
 
 impl Convergence {
     /// Diagnoses a rare-event estimate from its per-shard counters (in
-    /// shard order, as returned by `exec::mc_counter_shards`).
+    /// shard order).
     ///
     /// # Panics
     ///
@@ -97,42 +97,10 @@ impl Convergence {
         }
     }
 
-    /// Diagnoses a mean estimate from its per-shard moment accumulators
-    /// (in shard order, as returned by `exec::mc_moments_shards`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is empty.
-    #[must_use]
-    pub fn from_moments(shards: &[Moments]) -> Self {
-        assert!(!shards.is_empty(), "need at least one shard");
-        let mut all = Moments::new();
-        let mut even = Moments::new();
-        let mut odd = Moments::new();
-        for (i, m) in shards.iter().enumerate() {
-            all.merge(m);
-            if i % 2 == 0 {
-                even.merge(m);
-            } else {
-                odd.merge(m);
-            }
-        }
-        let se = all.std_error();
-        Self {
-            shards: shards.len(),
-            samples: all.count(),
-            estimate: all.mean(),
-            std_error: se,
-            ci95_half_width: z_for_confidence(0.95) * se,
-            effective_samples: all.count(),
-            split_half_z: split_z(even.mean(), even.std_error(), odd.mean(), odd.std_error()),
-        }
-    }
-
     /// Relative half-width of the 95 % CI (`ci95 / |estimate|`);
     /// `f64::INFINITY` when the estimate is zero but the CI is not.
     #[must_use]
-    pub fn relative_ci(&self) -> f64 {
+    pub(crate) fn relative_ci(&self) -> f64 {
         if self.estimate != 0.0 {
             self.ci95_half_width / self.estimate.abs()
         } else if self.ci95_half_width == 0.0 {
@@ -140,13 +108,6 @@ impl Convergence {
         } else {
             f64::INFINITY
         }
-    }
-
-    /// Whether the split-half check passes at the given z limit
-    /// (`3.0` is a sensible default: ~0.3 % false-alarm rate).
-    #[must_use]
-    pub fn split_half_ok(&self, z_limit: f64) -> bool {
-        self.split_half_z.abs() <= z_limit
     }
 
     /// Publishes this report as `ntc-obs` gauges under `prefix`
@@ -246,7 +207,7 @@ impl TiltedConvergence {
     /// Relative half-width of the 95 % CI (`ci95 / |estimate|`);
     /// `f64::INFINITY` when the estimate is zero but the CI is not.
     #[must_use]
-    pub fn relative_ci(&self) -> f64 {
+    pub(crate) fn relative_ci(&self) -> f64 {
         if self.estimate != 0.0 {
             self.ci95_half_width / self.estimate.abs()
         } else if self.ci95_half_width == 0.0 {
@@ -254,20 +215,6 @@ impl TiltedConvergence {
         } else {
             f64::INFINITY
         }
-    }
-
-    /// Whether the split-half check passes at the given z limit.
-    #[must_use]
-    pub fn split_half_ok(&self, z_limit: f64) -> bool {
-        self.split_half_z.abs() <= z_limit
-    }
-
-    /// Whether the weighted sample is trustworthy: at least `min_ess`
-    /// effective samples and no single weight owning more than
-    /// `max_share` of the total.
-    #[must_use]
-    pub fn weights_ok(&self, min_ess: f64, max_share: f64) -> bool {
-        self.effective_samples >= min_ess && self.max_weight_share <= max_share
     }
 
     /// Publishes this report as `ntc-obs` gauges under `prefix`
@@ -301,12 +248,24 @@ fn split_z(a: f64, se_a: f64, b: f64, se_b: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{mc_counter, mc_counter_shards, mc_moments_shards};
+    use crate::exec::{mc_counter, shard_bounds, MC_SHARDS};
+    use crate::rng::Source;
 
     #[test]
     fn counter_diagnostics_match_merged_counter() {
         let trials = 200_000u64;
-        let shards = mc_counter_shards(trials, 11, |s| s.bernoulli(0.01));
+        // The per-shard counters `mc_counter` folds, in shard order.
+        let shards: Vec<TrialCounter> = (0..MC_SHARDS)
+            .map(|i| {
+                let (lo, hi) = shard_bounds(trials, MC_SHARDS, i);
+                let mut src = Source::stream(11, i as u64);
+                let mut c = TrialCounter::new();
+                for _ in lo..hi {
+                    c.record(src.bernoulli(0.01));
+                }
+                c
+            })
+            .collect();
         let d = Convergence::from_counters(&shards);
         let merged = mc_counter(trials, 11, |s| s.bernoulli(0.01));
         assert_eq!(d.samples, trials);
@@ -314,18 +273,11 @@ mod tests {
         assert!((d.estimate - merged.estimate()).abs() < 1e-15);
         assert!(d.std_error > 0.0 && d.std_error < 1e-3);
         assert!(d.ci95_half_width > d.std_error, "CI wider than one SE");
-        assert!(d.split_half_ok(4.0), "split-half z = {}", d.split_half_z);
-    }
-
-    #[test]
-    fn moments_diagnostics_converge() {
-        let shards = mc_moments_shards(100_000, 7, |s| s.standard_normal());
-        let d = Convergence::from_moments(&shards);
-        assert_eq!(d.samples, 100_000);
-        assert_eq!(d.effective_samples, 100_000);
-        assert!(d.estimate.abs() < 0.02);
-        assert!((d.std_error - 1.0 / (100_000f64).sqrt()).abs() < 5e-4);
-        assert!(d.split_half_ok(4.0));
+        assert!(
+            d.split_half_z.abs() <= 4.0,
+            "split-half z = {}",
+            d.split_half_z
+        );
     }
 
     #[test]
@@ -342,7 +294,7 @@ mod tests {
             shards.push(c);
         }
         let d = Convergence::from_counters(&shards);
-        assert!(!d.split_half_ok(3.0), "z = {}", d.split_half_z);
+        assert!(d.split_half_z.abs() > 3.0, "z = {}", d.split_half_z);
     }
 
     #[test]
@@ -375,9 +327,7 @@ mod tests {
         assert!((d.estimate / truth - 1.0).abs() < 0.05, "estimate {}", d.estimate);
         assert!(d.effective_samples > 1000.0, "ESS {}", d.effective_samples);
         assert!(d.max_weight_share < 0.05, "share {}", d.max_weight_share);
-        assert!(d.weights_ok(1000.0, 0.05));
-        assert!(!d.weights_ok(d.effective_samples + 1.0, 0.05));
-        assert!(d.split_half_ok(4.0), "z = {}", d.split_half_z);
+        assert!(d.split_half_z.abs() <= 4.0, "z = {}", d.split_half_z);
         assert!(d.ci95_half_width > d.std_error);
         assert!(d.relative_ci() < 0.1);
     }
@@ -394,7 +344,6 @@ mod tests {
         let d = TiltedConvergence::from_shards(&[a, b]);
         assert!(d.effective_samples < 1.01, "ESS {}", d.effective_samples);
         assert!(d.max_weight_share > 0.999);
-        assert!(!d.weights_ok(2.0, 0.5));
     }
 
     #[test]

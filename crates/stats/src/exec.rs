@@ -32,16 +32,16 @@
 //! # Example
 //!
 //! ```
-//! use ntc_stats::exec::{mc_moments, par_map};
+//! use ntc_stats::exec::{mc_counter, par_map};
 //! use ntc_stats::rng::Source;
 //!
 //! // Nine "dies", each synthesized from its own counter-based stream.
 //! let offsets = par_map(9, |i| Source::stream(2014, i as u64).normal(0.0, 0.05));
 //! assert_eq!(offsets.len(), 9);
 //!
-//! // 10k Monte-Carlo trials reduced into sharded, merged Moments.
-//! let m = mc_moments(10_000, 7, |src| src.standard_normal());
-//! assert_eq!(m.count(), 10_000);
+//! // 10k Monte-Carlo trials reduced into a sharded, merged counter.
+//! let c = mc_counter(10_000, 7, |src| src.standard_normal() > 3.0);
+//! assert_eq!(c.trials(), 10_000);
 //! ```
 
 use crate::ckpt::{par_map_keyed, par_mergeable_keyed, CollectiveKey, Salt};
@@ -235,7 +235,7 @@ impl<T: Mergeable> Mergeable for Vec<T> {
 /// # Panics
 ///
 /// Panics if `shards == 0`.
-pub fn par_mergeable<T, F>(shards: usize, shard: F) -> T
+pub(crate) fn par_mergeable<T, F>(shards: usize, shard: F) -> T
 where
     T: Mergeable + Send,
     F: Fn(usize) -> T + Sync,
@@ -262,38 +262,12 @@ pub fn shard_bounds(trials: u64, shards: usize, shard: usize) -> (u64, u64) {
     (lo, hi)
 }
 
-/// Runs `trials` Monte-Carlo draws of `sample` in parallel and reduces them
-/// into [`Moments`].
-///
-/// Trials are split over [`MC_SHARDS`] fixed shards; shard `i` draws from
-/// `Source::stream(seed, i)`. The result is a pure function of
-/// `(trials, seed, sample)` — identical at any thread count, including 1.
-pub fn mc_moments<F>(trials: u64, seed: u64, sample: F) -> Moments
-where
-    F: Fn(&mut Source) -> f64 + Sync,
-{
-    if trials == 0 {
-        return Moments::new();
-    }
-    ntc_obs::counter_add("exec.mc.samples", trials);
-    par_mergeable(MC_SHARDS.min(trials as usize), |i| {
-        let (lo, hi) = shard_bounds(trials, MC_SHARDS.min(trials as usize), i);
-        let mut span = ntc_obs::span("exec.mc.shard").with_shard(i as u32);
-        span.add_items(hi - lo);
-        let mut src = Source::stream(seed, i as u64);
-        let mut m = Moments::new();
-        for _ in lo..hi {
-            m.push(sample(&mut src));
-        }
-        m
-    })
-}
-
 /// Runs `trials` Monte-Carlo trials of a rare-event predicate in parallel
 /// and reduces them into a [`TrialCounter`].
 ///
-/// Sharding is identical to [`mc_moments`]; the hit count is a pure
-/// function of `(trials, seed, event)`.
+/// Trials are split over [`MC_SHARDS`] fixed shards; shard `i` draws from
+/// `Source::stream(seed, i)`. The hit count is a pure function of
+/// `(trials, seed, event)` — identical at any thread count, including 1.
 pub fn mc_counter<F>(trials: u64, seed: u64, event: F) -> TrialCounter
 where
     F: Fn(&mut Source) -> bool + Sync,
@@ -304,64 +278,6 @@ where
     ntc_obs::counter_add("exec.mc.samples", trials);
     par_mergeable(MC_SHARDS.min(trials as usize), |i| {
         let (lo, hi) = shard_bounds(trials, MC_SHARDS.min(trials as usize), i);
-        let mut span = ntc_obs::span("exec.mc.shard").with_shard(i as u32);
-        span.add_items(hi - lo);
-        let mut src = Source::stream(seed, i as u64);
-        let mut c = TrialCounter::new();
-        for _ in lo..hi {
-            c.record(event(&mut src));
-        }
-        c
-    })
-}
-
-/// Like [`mc_moments`] but returns the **per-shard** accumulators in
-/// shard order instead of the merged result.
-///
-/// Merging the returned vector left-to-right into an empty [`Moments`]
-/// yields exactly (bit-for-bit) what [`mc_moments`] returns for the
-/// same `(trials, seed, sample)` — the shard layout and random streams
-/// are identical; only the final fold is left to the caller. Intended
-/// for convergence diagnostics ([`crate::diag::Convergence`]) that need
-/// the shard structure, not just the reduction.
-pub fn mc_moments_shards<F>(trials: u64, seed: u64, sample: F) -> Vec<Moments>
-where
-    F: Fn(&mut Source) -> f64 + Sync,
-{
-    if trials == 0 {
-        return Vec::new();
-    }
-    ntc_obs::counter_add("exec.mc.samples", trials);
-    let shards = MC_SHARDS.min(trials as usize);
-    par_map(shards, |i| {
-        let (lo, hi) = shard_bounds(trials, shards, i);
-        let mut span = ntc_obs::span("exec.mc.shard").with_shard(i as u32);
-        span.add_items(hi - lo);
-        let mut src = Source::stream(seed, i as u64);
-        let mut m = Moments::new();
-        for _ in lo..hi {
-            m.push(sample(&mut src));
-        }
-        m
-    })
-}
-
-/// Like [`mc_counter`] but returns the **per-shard** counters in shard
-/// order instead of the merged result.
-///
-/// Same contract as [`mc_moments_shards`]: an in-order merge of the
-/// returned counters equals [`mc_counter`]'s result exactly.
-pub fn mc_counter_shards<F>(trials: u64, seed: u64, event: F) -> Vec<TrialCounter>
-where
-    F: Fn(&mut Source) -> bool + Sync,
-{
-    if trials == 0 {
-        return Vec::new();
-    }
-    ntc_obs::counter_add("exec.mc.samples", trials);
-    let shards = MC_SHARDS.min(trials as usize);
-    par_map(shards, |i| {
-        let (lo, hi) = shard_bounds(trials, shards, i);
         let mut span = ntc_obs::span("exec.mc.shard").with_shard(i as u32);
         span.add_items(hi - lo);
         let mut src = Source::stream(seed, i as u64);
@@ -548,33 +464,6 @@ mod tests {
     }
 
     #[test]
-    fn mc_moments_is_thread_count_invariant_and_matches_serial_fold() {
-        let trials = 10_000u64;
-        let seed = 42u64;
-        let shards = MC_SHARDS.min(trials as usize);
-        // Serial reference with the SAME shard/merge layout: Welford merge
-        // is exact in count but the merged mean/m2 are not bit-equal to a
-        // single streaming pass, so bit-level comparison must replay the
-        // per-shard accumulate + in-order merge.
-        let mut merged = Moments::new();
-        for i in 0..shards {
-            let (lo, hi) = shard_bounds(trials, shards, i);
-            let mut src = Source::stream(seed, i as u64);
-            let mut m = Moments::new();
-            for _ in lo..hi {
-                m.push(src.standard_normal());
-            }
-            merged.merge(&m);
-        }
-        let par = mc_moments(trials, seed, |s| s.standard_normal());
-        assert_eq!(par.count(), trials);
-        assert_eq!(par.mean().to_bits(), merged.mean().to_bits());
-        assert_eq!(par.std_dev().to_bits(), merged.std_dev().to_bits());
-        assert!((par.mean()).abs() < 0.05);
-        assert!((par.std_dev() - 1.0).abs() < 0.05);
-    }
-
-    #[test]
     fn mc_counter_matches_sharded_serial_exactly() {
         let trials = 50_000u64;
         let seed = 9u64;
@@ -599,38 +488,8 @@ mod tests {
 
     #[test]
     fn mc_helpers_handle_zero_and_tiny_trial_counts() {
-        assert_eq!(mc_moments(0, 1, |s| s.uniform()).count(), 0);
-        assert_eq!(mc_moments(3, 1, |s| s.uniform()).count(), 3);
         assert_eq!(mc_counter(0, 1, |s| s.bernoulli(0.5)).trials(), 0);
         assert_eq!(mc_counter(5, 1, |s| s.bernoulli(0.5)).trials(), 5);
-    }
-
-    #[test]
-    fn shard_helpers_merge_to_the_merged_helpers_bit_for_bit() {
-        let trials = 20_000u64;
-        let seed = 31u64;
-        let shards_c = mc_counter_shards(trials, seed, |s| s.bernoulli(0.02));
-        assert_eq!(shards_c.len(), MC_SHARDS);
-        let mut folded = TrialCounter::new();
-        for c in &shards_c {
-            folded.merge(c);
-        }
-        let merged = mc_counter(trials, seed, |s| s.bernoulli(0.02));
-        assert_eq!(folded, merged);
-
-        let shards_m = mc_moments_shards(trials, seed, |s| s.standard_normal());
-        assert_eq!(shards_m.len(), MC_SHARDS);
-        let mut fm = Moments::new();
-        for m in &shards_m {
-            fm.merge(m);
-        }
-        let mm = mc_moments(trials, seed, |s| s.standard_normal());
-        assert_eq!(fm.count(), mm.count());
-        assert_eq!(fm.mean().to_bits(), mm.mean().to_bits());
-        assert_eq!(fm.std_dev().to_bits(), mm.std_dev().to_bits());
-
-        assert!(mc_counter_shards(0, 1, |s| s.bernoulli(0.5)).is_empty());
-        assert!(mc_moments_shards(0, 1, |s| s.uniform()).is_empty());
     }
 
     #[test]

@@ -8,14 +8,14 @@
 //! density ratio, so the estimate stays unbiased while every second trial
 //! is informative.
 //!
-//! * [`gauss_tail`] estimates `P(Z > t)` for standard normal `Z` — the
+//! * [`gauss_tail_shards`] estimates `P(Z > t)` for standard normal `Z` — the
 //!   Eq. 4 probit retention tail — by sampling `X ~ N(t, 1)` (natural
 //!   parameter shift θ = t, the classical optimal tilt for a Gaussian
 //!   level crossing). The weight is `exp(t²/2 − t·x)`; drawing
 //!   `x = t + Φ⁻¹(u)` makes the hit test exact (`x > t ⟺ u > ½`) and
 //!   weights are only evaluated on hits, so the `u → 0` lane
 //!   (`Φ⁻¹(u) = −∞`, weight `+∞ · 0`) can never produce a NaN.
-//! * [`binomial_tail`] estimates `P(K ≥ k)` for `K ~ Binomial(n, p)` — the
+//! * [`binomial_tail_shards`] estimates `P(K ≥ k)` for `K ~ Binomial(n, p)` — the
 //!   Eq. 5 SECDED word-failure tail (≥ 3 raw errors in a 39-bit word) —
 //!   by tilting the per-bit probability to `q = k/n` so the threshold sits
 //!   at the proposal mean. The weight depends only on the drawn count:
@@ -111,7 +111,7 @@ impl TiltedCounter {
     /// Standard error of [`TiltedCounter::estimate`] (sample standard
     /// deviation of the per-trial weights, misses counting as zero, over
     /// `√n`); `0.0` with fewer than two trials.
-    pub fn std_error(&self) -> f64 {
+    pub(crate) fn std_error(&self) -> f64 {
         if self.trials < 2 {
             return 0.0;
         }
@@ -135,7 +135,7 @@ impl TiltedCounter {
     /// Share of the total weight carried by the single largest weight —
     /// the bluntest degeneracy alarm (near 1 means one draw decided the
     /// estimate); `0.0` with no hits.
-    pub fn max_weight_share(&self) -> f64 {
+    pub(crate) fn max_weight_share(&self) -> f64 {
         if self.sum_w > 0.0 {
             self.max_w / self.sum_w
         } else {
@@ -154,14 +154,32 @@ impl TiltedCounter {
     }
 }
 
-/// Estimates `P(Z > t)` for standard normal `Z` by exponential tilting,
-/// returning the per-shard accumulators in shard order (for
-/// `diag::TiltedConvergence`); an in-order merge equals [`gauss_tail`].
+/// Estimates `P(Z > t)` for standard normal `Z` by exponential tilting
+/// (proposal `N(t, 1)`), returning the per-shard accumulators in shard
+/// order (for `diag::TiltedConvergence`). An in-order merge is a pure
+/// function of `(trials, seed, t)`, bit-identical at any thread count.
+/// See the module docs for the tilt derivation.
 ///
 /// # Panics
 ///
 /// Panics if `t` is not a finite positive number (the tilt is built for
-/// the upper tail; the lower tail is `gauss_tail` of `−t` by symmetry).
+/// the upper tail; the lower tail is the estimate at `−t` by symmetry).
+///
+/// # Example
+///
+/// ```
+/// use ntc_stats::mc::tilted::{gauss_tail_shards, TiltedCounter};
+///
+/// // P(Z > 6) ≈ 9.866e-10: hopeless for direct sampling at 20k trials,
+/// // resolved to a few percent by the tilted estimator.
+/// let mut est = TiltedCounter::new();
+/// for shard in gauss_tail_shards(20_000, 42, 6.0) {
+///     est.merge(&shard);
+/// }
+/// let truth = ntc_stats::phi(-6.0);
+/// assert!((est.estimate() / truth - 1.0).abs() < 0.1);
+/// assert!(est.effective_sample_size() > 1000.0);
+/// ```
 pub fn gauss_tail_shards(trials: u64, seed: u64, t: f64) -> Vec<TiltedCounter> {
     assert!(t.is_finite() && t > 0.0, "tail threshold must be finite and positive");
     if trials == 0 {
@@ -203,25 +221,10 @@ pub fn gauss_tail_shards(trials: u64, seed: u64, t: f64) -> Vec<TiltedCounter> {
     })
 }
 
-/// Estimates `P(Z > t)` for standard normal `Z` by exponential tilting
-/// (proposal `N(t, 1)`), merged over the fixed 64-shard layout.
-///
-/// A pure function of `(trials, seed, t)`, bit-identical at any thread
-/// count. See the module docs for the tilt derivation.
-///
-/// # Example
-///
-/// ```
-/// use ntc_stats::mc::tilted::gauss_tail;
-///
-/// // P(Z > 6) ≈ 9.866e-10: hopeless for direct sampling at 20k trials,
-/// // resolved to a few percent by the tilted estimator.
-/// let est = gauss_tail(20_000, 42, 6.0);
-/// let truth = ntc_stats::phi(-6.0);
-/// assert!((est.estimate() / truth - 1.0).abs() < 0.1);
-/// assert!(est.effective_sample_size() > 1000.0);
-/// ```
-pub fn gauss_tail(trials: u64, seed: u64, t: f64) -> TiltedCounter {
+/// [`gauss_tail_shards`] merged in shard order: the fold the tests
+/// check the per-shard estimator against.
+#[cfg(test)]
+pub(crate) fn gauss_tail(trials: u64, seed: u64, t: f64) -> TiltedCounter {
     let mut acc = TiltedCounter::new();
     for c in gauss_tail_shards(trials, seed, t) {
         acc.merge(&c);
@@ -257,8 +260,8 @@ fn binomial_tables(n: u32, p: f64, q: f64) -> (Vec<f64>, Vec<f64>) {
 
 /// Estimates `P(K ≥ k_min)` for `K ~ Binomial(n_bits, p_bit)` by tilting
 /// the per-bit probability to `q = k_min / n_bits`, returning the
-/// per-shard accumulators in shard order; an in-order merge equals
-/// [`binomial_tail`].
+/// per-shard accumulators in shard order. An in-order merge is a pure
+/// function of its arguments.
 ///
 /// One uniform per trial is inverted through the proposal CDF (a ≤ n+1
 /// step scan — `n_bits` is a code word, not a population), so the cost per
@@ -267,6 +270,28 @@ fn binomial_tables(n: u32, p: f64, q: f64) -> (Vec<f64>, Vec<f64>) {
 /// # Panics
 ///
 /// Panics unless `0 < p_bit < 1` and `0 < k_min < n_bits`.
+///
+/// # Example
+///
+/// ```
+/// use ntc_stats::mc::tilted::{binomial_tail_shards, TiltedCounter};
+///
+/// // P(≥3 errors in a 39-bit SECDED word) at p_bit = 1e-4: ~9.1e-9.
+/// let mut est = TiltedCounter::new();
+/// for shard in binomial_tail_shards(20_000, 7, 39, 1e-4, 3) {
+///     est.merge(&shard);
+/// }
+/// let p = 1e-4f64;
+/// let le2: f64 = (0..=2)
+///     .map(|k| {
+///         let c = [1.0, 39.0, 741.0][k];
+///         c * p.powi(k as i32) * (1.0 - p).powi(39 - k as i32)
+///     })
+///     .sum();
+/// let truth = 1.0 - le2;
+/// assert!((est.estimate() / truth - 1.0).abs() < 0.1);
+/// assert!(est.effective_sample_size() > 1000.0);
+/// ```
 pub fn binomial_tail_shards(
     trials: u64,
     seed: u64,
@@ -311,29 +336,16 @@ pub fn binomial_tail_shards(
     })
 }
 
-/// Estimates `P(K ≥ k_min)` for `K ~ Binomial(n_bits, p_bit)` — the Eq. 5
-/// word-failure tail — by per-bit exponential tilting, merged over the
-/// fixed 64-shard layout. A pure function of its arguments.
-///
-/// # Example
-///
-/// ```
-/// use ntc_stats::mc::tilted::binomial_tail;
-///
-/// // P(≥3 errors in a 39-bit SECDED word) at p_bit = 1e-4: ~9.1e-9.
-/// let est = binomial_tail(20_000, 7, 39, 1e-4, 3);
-/// let p = 1e-4f64;
-/// let le2: f64 = (0..=2)
-///     .map(|k| {
-///         let c = [1.0, 39.0, 741.0][k];
-///         c * p.powi(k as i32) * (1.0 - p).powi(39 - k as i32)
-///     })
-///     .sum();
-/// let truth = 1.0 - le2;
-/// assert!((est.estimate() / truth - 1.0).abs() < 0.1);
-/// assert!(est.effective_sample_size() > 1000.0);
-/// ```
-pub fn binomial_tail(trials: u64, seed: u64, n_bits: u32, p_bit: f64, k_min: u32) -> TiltedCounter {
+/// [`binomial_tail_shards`] merged in shard order: the fold the tests
+/// check the per-shard estimator against.
+#[cfg(test)]
+pub(crate) fn binomial_tail(
+    trials: u64,
+    seed: u64,
+    n_bits: u32,
+    p_bit: f64,
+    k_min: u32,
+) -> TiltedCounter {
     let mut acc = TiltedCounter::new();
     for c in binomial_tail_shards(trials, seed, n_bits, p_bit, k_min) {
         acc.merge(&c);

@@ -106,16 +106,6 @@ impl SearchSpace {
         }
         Ok(Self { cards, continuous })
     }
-
-    /// Cardinality of each discrete axis, in axis order.
-    pub fn cards(&self) -> &[usize] {
-        &self.cards
-    }
-
-    /// The continuous interval, if the space has one.
-    pub fn continuous(&self) -> Option<(f64, f64)> {
-        self.continuous
-    }
 }
 
 /// Optimizer knobs. All fields feed the deterministic seed/termination

@@ -225,7 +225,7 @@ impl Source {
     }
 
     /// Shuffles a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, data: &mut [T]) {
+    pub(crate) fn shuffle<T>(&mut self, data: &mut [T]) {
         for i in (1..data.len()).rev() {
             let j = self.below(i as u64 + 1) as usize;
             data.swap(i, j);
@@ -323,7 +323,7 @@ pub fn stream_key(seed: u64, index: u64) -> u64 {
 /// superscalar throughput and the surrounding loop auto-vectorizes. The
 /// sequence is exactly what `splitmix64` would emit stepping from `key`,
 /// i.e. the same well-studied generator used to expand seeds.
-pub fn lane_u64(key: u64, lane: u64) -> u64 {
+pub(crate) fn lane_u64(key: u64, lane: u64) -> u64 {
     let mut z = key.wrapping_add(lane.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -331,7 +331,7 @@ pub fn lane_u64(key: u64, lane: u64) -> u64 {
 }
 
 /// The `lane`-th uniform draw in `[0, 1)` of the counter-based lane
-/// generator: the top 53 bits of [`lane_u64`] scaled by `2⁻⁵³`, matching
+/// generator: the top 53 bits of `lane_u64` scaled by `2⁻⁵³`, matching
 /// the mantissa construction of [`Source::uniform`].
 pub fn lane_uniform(key: u64, lane: u64) -> f64 {
     (lane_u64(key, lane) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)

@@ -90,24 +90,14 @@ impl TechnologyCard {
         self.node_nm
     }
 
-    /// Device architecture of the node.
-    pub fn architecture(&self) -> DeviceArchitecture {
-        self.architecture
-    }
-
     /// Nominal supply voltage in volts.
     pub fn vdd_nominal(&self) -> f64 {
         self.vdd_nominal
     }
 
     /// Typical threshold voltage in volts (TT corner, 25 °C).
-    pub fn vth(&self) -> f64 {
+    pub(crate) fn vth(&self) -> f64 {
         self.vth
-    }
-
-    /// Subthreshold slope in mV/decade at the card temperature.
-    pub fn ss_mv_per_dec(&self) -> f64 {
-        self.ss_mv_per_dec
     }
 
     /// Drain-induced barrier lowering in mV of Vth per volt of VDS.
@@ -115,40 +105,24 @@ impl TechnologyCard {
         self.dibl_mv_per_v
     }
 
-    /// Pelgrom mismatch coefficient `A_VT` in mV·µm: a minimum-size device
-    /// has `σ(Vth) = A_VT / √(W·L)`.
-    pub fn avt_mv_um(&self) -> f64 {
-        self.avt_mv_um
-    }
-
     /// Gate area of a minimum-size device in µm².
-    pub fn min_gate_area_um2(&self) -> f64 {
+    pub(crate) fn min_gate_area_um2(&self) -> f64 {
         self.min_gate_area_um2
     }
 
     /// Saturation drive current per µm of width at nominal VDD, in A/µm.
-    pub fn ion_per_um(&self) -> f64 {
+    pub(crate) fn ion_per_um(&self) -> f64 {
         self.ion_per_um
     }
 
     /// Off-state leakage per µm of width at nominal VDD, in A/µm.
-    pub fn ioff_per_um(&self) -> f64 {
+    pub(crate) fn ioff_per_um(&self) -> f64 {
         self.ioff_per_um
     }
 
     /// Gate capacitance per µm of width, in F/µm.
-    pub fn cgate_per_um(&self) -> f64 {
+    pub(crate) fn cgate_per_um(&self) -> f64 {
         self.cgate_per_um
-    }
-
-    /// Wire capacitance per mm, in F/mm.
-    pub fn cwire_per_mm(&self) -> f64 {
-        self.cwire_per_mm
-    }
-
-    /// Card temperature in kelvin.
-    pub fn temperature_k(&self) -> f64 {
-        self.temperature_k
     }
 
     /// Thermal voltage `kT/q` at the card temperature, in volts.
@@ -174,50 +148,6 @@ impl TechnologyCard {
             "gate area must be positive, got {area_um2}"
         );
         self.avt_mv_um / 1000.0 / area_um2.sqrt()
-    }
-
-    /// Threshold-voltage mismatch σ of a minimum-size device, in volts.
-    pub fn sigma_vth_min(&self) -> f64 {
-        self.sigma_vth(self.min_gate_area_um2)
-    }
-
-    /// Derives this card at a different temperature.
-    ///
-    /// Temperature effects modeled:
-    ///
-    /// * subthreshold slope scales with absolute temperature
-    ///   (`SS ∝ n·vT·ln 10`, ideality constant);
-    /// * threshold voltage drops ~1 mV/K as temperature rises;
-    /// * off-current follows the subthreshold law at the new `Vth`/`vT`
-    ///   (the classic ~1 decade per 80–100 K);
-    /// * on-current is kept at the card value — around the near-threshold
-    ///   "temperature compensation point" mobility loss and threshold
-    ///   drop roughly cancel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kelvin` is not in the physical range `(150, 450)` or the
-    /// derived threshold would become non-positive.
-    #[must_use]
-    pub fn at_temperature(&self, kelvin: f64) -> Self {
-        assert!(
-            (150.0..450.0).contains(&kelvin),
-            "temperature {kelvin} K outside the model range"
-        );
-        let mut out = self.clone();
-        let t0 = self.temperature_k;
-        out.temperature_k = kelvin;
-        out.ss_mv_per_dec = self.ss_mv_per_dec * kelvin / t0;
-        out.vth = self.vth - 1.0e-3 * (kelvin - t0);
-        assert!(out.vth > 0.0, "derived threshold non-positive at {kelvin} K");
-        // Off-current ratio from the subthreshold law (n is unchanged).
-        let n = self.ideality();
-        const K_OVER_Q: f64 = 8.617_333_262e-5;
-        let arg0 = -self.vth / (n * K_OVER_Q * t0);
-        let arg1 = -out.vth / (n * K_OVER_Q * kelvin);
-        out.ioff_per_um = self.ioff_per_um * (arg1 - arg0).exp();
-        out.name = format!("{} @{:.0}K", self.name, kelvin);
-        out
     }
 }
 
@@ -358,12 +288,6 @@ impl TechnologyCardBuilder {
     /// Sets wire capacitance per mm, in F/mm.
     pub fn cwire_per_mm(mut self, v: f64) -> Self {
         self.card.cwire_per_mm = v;
-        self
-    }
-
-    /// Sets the temperature in kelvin (default 298.15 K).
-    pub fn temperature_k(mut self, v: f64) -> Self {
-        self.card.temperature_k = v;
         self
     }
 
@@ -520,10 +444,10 @@ mod tests {
         let planar = n40lp();
         let fin = n14finfet();
         let gaa = n10gaa();
-        assert!(fin.ss_mv_per_dec() < planar.ss_mv_per_dec());
-        assert!(gaa.ss_mv_per_dec() < fin.ss_mv_per_dec());
-        assert!(fin.avt_mv_um() < planar.avt_mv_um());
-        assert!(gaa.avt_mv_um() < fin.avt_mv_um());
+        assert!(fin.ss_mv_per_dec < planar.ss_mv_per_dec);
+        assert!(gaa.ss_mv_per_dec < fin.ss_mv_per_dec);
+        assert!(fin.avt_mv_um < planar.avt_mv_um);
+        assert!(gaa.avt_mv_um < fin.avt_mv_um);
     }
 
     #[test]
@@ -538,7 +462,6 @@ mod tests {
         let s1 = c.sigma_vth(0.01);
         let s4 = c.sigma_vth(0.04);
         assert!((s1 / s4 - 2.0).abs() < 1e-12, "σ ∝ 1/√area");
-        assert!((c.sigma_vth_min() - c.sigma_vth(c.min_gate_area_um2())).abs() < 1e-15);
     }
 
     #[test]
@@ -598,37 +521,5 @@ mod tests {
     #[test]
     fn architecture_display() {
         assert_eq!(DeviceArchitecture::FinFet.to_string(), "finFET");
-    }
-
-    #[test]
-    fn temperature_derivation() {
-        let cold = n40lp();
-        let hot = cold.at_temperature(398.15); // 125 °C
-        // Slope degrades with T, threshold drops, leakage explodes.
-        assert!(hot.ss_mv_per_dec() > cold.ss_mv_per_dec());
-        assert!(hot.vth() < cold.vth());
-        let leak_ratio = hot.ioff_per_um() / cold.ioff_per_um();
-        assert!(
-            (5.0..1000.0).contains(&leak_ratio),
-            "125C leakage ratio {leak_ratio} should be decades-scale"
-        );
-        // Ideality is invariant (slope change is pure vT).
-        assert!((hot.ideality() - cold.ideality()).abs() < 1e-9);
-        assert!(hot.name().contains("398"));
-    }
-
-    #[test]
-    fn hot_device_is_faster_near_threshold() {
-        // Inverse temperature dependence: at NTV, the Vth drop wins.
-        use crate::inverter::Inverter;
-        let cold = Inverter::fo4(&n40lp());
-        let hot = Inverter::fo4(&n40lp().at_temperature(358.15));
-        assert!(hot.delay(0.45) < cold.delay(0.45), "ITD at near-threshold");
-    }
-
-    #[test]
-    #[should_panic(expected = "model range")]
-    fn temperature_range_enforced() {
-        let _ = n40lp().at_temperature(500.0);
     }
 }

@@ -85,16 +85,6 @@ impl Device {
         d
     }
 
-    /// Device width in micrometers.
-    pub fn width_um(&self) -> f64 {
-        self.width_um
-    }
-
-    /// Effective threshold voltage of this instance in volts.
-    pub fn vth(&self) -> f64 {
-        self.vth
-    }
-
     /// Drain current at gate-source voltage `vgs` (saturation assumed), in
     /// amperes. Continuous across the sub/near/super-threshold regions.
     pub fn drain_current(&self, vgs: f64) -> f64 {
@@ -118,21 +108,11 @@ impl Device {
     /// In deep subthreshold this approaches `−1/(n·vT)` (≈ −25/V at room
     /// temperature for n = 1.5); above threshold it flattens — exactly the
     /// mechanism that makes near-threshold delay spread balloon.
-    pub fn dlni_dvth(&self, vgs: f64) -> f64 {
+    pub(crate) fn dlni_dvth(&self, vgs: f64) -> f64 {
         let h = 1e-6;
         let lo = self.with_vth_shift(-h).drain_current(vgs).ln();
         let hi = self.with_vth_shift(h).drain_current(vgs).ln();
         (hi - lo) / (2.0 * h)
-    }
-
-    /// Subthreshold ideality factor of the underlying card.
-    pub fn ideality(&self) -> f64 {
-        self.n
-    }
-
-    /// Thermal voltage of the underlying card, in volts.
-    pub fn thermal_voltage(&self) -> f64 {
-        self.v_t
     }
 }
 
@@ -178,7 +158,7 @@ mod tests {
         let c = card::n40lp();
         let d = Device::new(&c, 1.0);
         let v1 = 0.20;
-        let v2 = v1 + c.ss_mv_per_dec() / 1000.0;
+        let v2 = v1 + c.ideality() * c.thermal_voltage() * std::f64::consts::LN_10;
         let decades = (d.drain_current(v2) / d.drain_current(v1)).log10();
         assert!((decades - 1.0).abs() < 0.03, "got {decades} decades");
     }
@@ -227,7 +207,7 @@ mod tests {
         assert!(sub > 3.0 * sup, "sub {sub} vs super {sup}");
         // Deep subthreshold limit ≈ 1/(n·vT).
         let deep = d.dlni_dvth(0.1).abs();
-        let limit = 1.0 / (d.ideality() * d.thermal_voltage());
+        let limit = 1.0 / (d.n * d.v_t);
         assert!((deep / limit - 1.0).abs() < 0.05, "deep {deep} vs {limit}");
     }
 

@@ -67,21 +67,6 @@ impl Inverter {
         }
     }
 
-    /// The drive device.
-    pub fn device(&self) -> &Device {
-        &self.device
-    }
-
-    /// Load capacitance in farads.
-    pub fn load_f(&self) -> f64 {
-        self.load_f
-    }
-
-    /// Threshold mismatch σ of the switching pair, in volts.
-    pub fn sigma_vth(&self) -> f64 {
-        self.sigma_vth
-    }
-
     /// Nominal (typical-device) propagation delay at supply `vdd`, in
     /// seconds: `t = C·VDD / (2·I_on(VDD))`.
     ///
@@ -94,7 +79,7 @@ impl Inverter {
     }
 
     /// Delay of a mismatch-shifted instance (`delta_vth` volts).
-    pub fn delay_shifted(&self, vdd: f64, delta_vth: f64) -> f64 {
+    pub(crate) fn delay_shifted(&self, vdd: f64, delta_vth: f64) -> f64 {
         assert!(vdd.is_finite() && vdd > 0.0, "vdd must be positive, got {vdd}");
         let shifted = self.device.with_vth_shift(delta_vth);
         self.load_f * vdd / (2.0 * shifted.drain_current(vdd))

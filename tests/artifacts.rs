@@ -177,3 +177,125 @@ proptest! {
         prop_assert_eq!(lo.admits(bound, measured), !hi.admits(bound, measured));
     }
 }
+
+// ---------------------------------------------------------------------
+// The JSON reader is total: any input parses or errors, never panics or
+// overflows, and every value the writers emit reads back unchanged.
+// ---------------------------------------------------------------------
+
+use ntc::artifact::json::{parse, JsonValue};
+use proptest::test_runner::TestRng;
+
+/// The committed quick baselines, the largest documents the reader sees.
+fn baseline_texts() -> &'static [String] {
+    static TEXTS: OnceLock<Vec<String>> = OnceLock::new();
+    TEXTS.get_or_init(|| {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../baselines/quick");
+        let mut paths: Vec<_> = std::fs::read_dir(dir)
+            .expect("baselines/quick is readable")
+            .map(|e| e.expect("dir entry").path())
+            .collect();
+        paths.sort();
+        paths
+            .iter()
+            .map(|p| std::fs::read_to_string(p).expect("baseline reads"))
+            .collect()
+    })
+}
+
+fn pick<T: Copy>(rng: &mut TestRng, items: &[T]) -> T {
+    items[rng.below_u128(items.len() as u128) as usize]
+}
+
+/// A random string over quotes, escapes, control characters, ASCII and
+/// multi-byte code points: everything the writer must escape or keep.
+fn random_string(rng: &mut TestRng) -> String {
+    let len = rng.below_u128(12) as usize;
+    (0..len)
+        .map(|_| {
+            pick(
+                rng,
+                &[
+                    'a', 'Z', '"', '\\', '/', '\n', '\t', '\u{0}', '\u{1f}', '\u{7f}', 'µ', '√',
+                    '😀',
+                ],
+            )
+        })
+        .collect()
+}
+
+/// A random tree of the shapes the artifact and API writers produce.
+fn random_value(rng: &mut TestRng, depth: u32) -> JsonValue {
+    let leaf_only = depth == 0;
+    match rng.below_u128(if leaf_only { 5 } else { 7 }) {
+        0 => JsonValue::Null,
+        1 => JsonValue::Bool(rng.next_u64() & 1 == 1),
+        // Any bit pattern; non-finite ones take their marker strings.
+        2 => JsonValue::num(f64::from_bits(rng.next_u64())),
+        3 => JsonValue::num(pick(
+            rng,
+            &[0.0, -0.0, 0.33, 1e-15, 2.9e5, 9_007_199_254_740_993.0],
+        )),
+        4 => JsonValue::Str(random_string(rng)),
+        5 => JsonValue::Arr(
+            (0..rng.below_u128(5))
+                .map(|_| random_value(rng, depth - 1))
+                .collect(),
+        ),
+        _ => JsonValue::Obj(
+            (0..rng.below_u128(5))
+                .map(|_| (random_string(rng), random_value(rng, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary bytes (read as lossy UTF-8) parse or error.
+    #[test]
+    fn json_parse_is_total_on_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..300)) {
+        let _ = parse(&String::from_utf8_lossy(&bytes));
+    }
+
+    /// Strings over JSON's own punctuation reach deep into the grammar.
+    #[test]
+    fn json_parse_is_total_on_json_shaped_text(text in "[\\[\\]{}\",:\\\\ntrufalse0-9.eE+ \\n-]{0,300}") {
+        let _ = parse(&text);
+    }
+
+    /// Every tree reads back equal through both writers.
+    #[test]
+    fn json_writers_round_trip_through_parse(seed: u64) {
+        let mut rng = TestRng::seeded(seed);
+        let v = random_value(&mut rng, 5);
+        let mut compact = String::new();
+        v.write_compact(&mut compact);
+        prop_assert_eq!(parse(&compact), Ok(v.clone()), "{}", compact);
+        prop_assert_eq!(parse(&v.to_string()), Ok(v));
+    }
+}
+
+proptest! {
+    /// A committed baseline, cut at any byte and mutated at a few,
+    /// parses or errors; unmutated, it parses.
+    #[test]
+    fn json_parse_is_total_on_mutated_baselines(seed: u64) {
+        let mut rng = TestRng::seeded(seed);
+        let texts = baseline_texts();
+        let text = &texts[rng.below_u128(texts.len() as u128) as usize];
+        prop_assert!(parse(text).is_ok());
+        let mut bytes = text.as_bytes().to_vec();
+        for _ in 0..1 + rng.below_u128(4) {
+            let at = rng.below_u128(bytes.len() as u128 + 1) as usize;
+            let b = pick(&mut rng, b"[]{}\",:\\0e-. \x01\xff");
+            match rng.below_u128(3) {
+                0 if at < bytes.len() => bytes[at] = b,
+                1 => bytes.insert(at, b),
+                _ => bytes.truncate(at),
+            }
+        }
+        let _ = parse(&String::from_utf8_lossy(&bytes));
+    }
+}

@@ -335,4 +335,18 @@ fn journal_escapes_control_characters_in_scopes() {
     let st = ntc::journal::parse_worker_status(id, bytes);
     assert_eq!(st.corrupt_lines, 0);
     assert_eq!(st.events, 4, "meta, claim, shard_start, shard_done");
+    // Each line is `<checksum> <json>`; every document parses, and the
+    // scope reads back as written.
+    let text = String::from_utf8_lossy(bytes);
+    let scopes: Vec<String> = text
+        .lines()
+        .map(|l| l.split_once(' ').map_or(l, |(_, json)| json))
+        .map(|l| parse(l).unwrap_or_else(|e| panic!("{e}: {l:?}")))
+        .filter_map(|v| {
+            v.get("scope")
+                .and_then(JsonValue::as_str)
+                .map(str::to_string)
+        })
+        .collect();
+    assert_eq!(scopes, ["fig5\t\u{1}\"scope\"", "fig5\t\u{1}\"scope\""]);
 }
